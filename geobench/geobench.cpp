@@ -11,7 +11,6 @@
 //
 // Workloads (README.md gives the reasons and the layer map):
 //   cold2d         gen::delaunay2d, 1M points, k=32, 1 rank, 1 thread
-//   cold3d         gen::delaunay3d, 200k points, k=256, 1 rank, 1 thread
 //   serve-churn2d  serve::PartitionService over a Churn scenario,
 //                  200k base points, k=64, open-loop queries beside churn
 //
@@ -30,6 +29,7 @@
 #include <iomanip>
 #include <iostream>
 #include <memory>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -39,7 +39,6 @@
 #include "core/balanced_kmeans.hpp"
 #include "core/geographer.hpp"
 #include "gen/delaunay2d.hpp"
-#include "gen/delaunay3d.hpp"
 #include "geometry/box.hpp"
 #include "graph/metrics.hpp"
 #include "par/comm.hpp"
@@ -68,13 +67,12 @@ constexpr std::size_t kBatch = 1024;          ///< points per closed-loop route 
 constexpr double kLateLimitSeconds = 2e-3;    ///< a batch later than this misses
 constexpr double kWindowSeconds = 0.5;        ///< open-loop quantile window
 constexpr int kColdSetupReps = 2;             ///< mesh generations per run
-constexpr int kServeSetupReps = 3;            ///< scenario + cold starts per run
-constexpr int kMinRounds = 3;                 ///< cold measurement rounds per run, at least
-constexpr int kServeRounds = 3;               ///< serve rounds before and after churn, each
+constexpr int kServeSetupReps = 5;            ///< scenario + cold starts per run
+constexpr int kMinRounds = 3;                 ///< measurement rounds per phase, at least
 constexpr int kMinRoutePasses = 3;            ///< closed-loop passes per routing phase
 constexpr double kRouteSeconds = 1.0;         ///< closed-loop routing, traced run
-constexpr double kRoundRouteSeconds = 0.3;    ///< closed-loop routing per round
-constexpr double kRoundOpenLoopSeconds = 1.5; ///< open-loop client per cold round
+constexpr double kRoundRouteSeconds = 0.1;    ///< closed-loop routing per round
+constexpr double kRoundOpenLoopSeconds = 1.0; ///< open-loop client per cold round
 constexpr double kServeQueryRate = 2000.0;    ///< batches/s, serve-churn2d
 constexpr std::size_t kServeQueryBatch = 1024;
 constexpr double kChurnEventsPerSecond = 50000.0;
@@ -97,6 +95,10 @@ double median(std::vector<double> v) {
     std::sort(v.begin(), v.end());
     const std::size_t m = v.size() / 2;
     return v.size() % 2 == 1 ? v[m] : 0.5 * (v[m - 1] + v[m]);
+}
+
+double mean(const std::vector<double>& v) {
+    return v.empty() ? 0.0 : std::accumulate(v.begin(), v.end(), 0.0) / static_cast<double>(v.size());
 }
 
 double mb(std::uint64_t bytes) { return static_cast<double>(bytes) / (1024.0 * 1024.0); }
@@ -220,14 +222,6 @@ core::Settings benchSettings() {
     s.threads = 1;
     s.ranks = 1;
     return s;
-}
-
-template <int D>
-gen::Mesh<D> makeMesh(std::int64_t n, std::uint64_t seed) {
-    if constexpr (D == 2)
-        return gen::delaunay2d(n, seed);
-    else
-        return gen::delaunay3d(n, seed);
 }
 
 /// The counters a partition's work is fingerprinted by: equal work gives
@@ -642,11 +636,26 @@ struct Rounds {
     }
 };
 
+/// Call `round` at least kMinRounds times, then again while one more call
+/// is predicted to end within `seconds` of the first.
+template <typename Round>
+void repeatFor(double seconds, Round&& round) {
+    const auto start = Clock::now();
+    for (int done = 0;; ++done) {
+        const double elapsed = since(start);
+        if (done >= kMinRounds && elapsed + elapsed / done > seconds) break;
+        round();
+    }
+}
+
 template <int D>
 void reportEndToEnd(Report& rep, const Rounds<D>& rounds, const std::vector<double>& setup,
                     const graph::PartitionMetrics& pm, const OpenLoop& loop,
                     double stalenessSeconds) {
-    rep.metric("partition_s", median(rounds.partitionSeconds), "s");
+    // A mean, not a median: the host runs fast and slow phases of seconds to
+    // minutes, so one run's partition times fall in two clusters, and their
+    // median jumps between them with the share of the run in each phase.
+    rep.metric("partition_s", mean(rounds.partitionSeconds), "s");
     rep.metric("setup_s", median(setup), "s");
     rep.metric("peak_rss_mb", mb(support::peakRssBytes()), "MB");
     rep.metric("imbalance", pm.imbalance, "ratio");
@@ -663,12 +672,10 @@ void reportEndToEnd(Report& rep, const Rounds<D>& rounds, const std::vector<doub
 
 // --------------------------------------------------- cold partitioning
 
-struct ColdSpec {
-    std::int64_t n;
-    std::int32_t k;
-    double queryRate;         ///< open-loop batches/s against the fresh partition
-    std::size_t queryBatch;   ///< points per open-loop batch
-};
+constexpr std::int64_t kColdPoints = 1000000;
+constexpr std::int32_t kColdBlocks = 32;
+constexpr double kColdQueryRate = 2000.0;     ///< open-loop batches/s against the fresh partition
+constexpr std::size_t kColdQueryBatch = 1024; ///< points per open-loop batch
 
 /// Batches of input-point indices for the open-loop phase; each answer is
 /// checked against the partition.
@@ -683,26 +690,25 @@ std::vector<std::vector<std::size_t>> queryBatches(std::size_t n, std::size_t ba
 
 /// Run the open-loop client against `router` for `seconds`, appending to
 /// `loop`; every answer is checked against `partition`.
-template <int D>
-void coldOpenLoop(Report& rep, const serve::Router<D>& router,
-                  std::span<const Point<D>> points, const graph::Partition& partition,
-                  const ColdSpec& spec, std::uint64_t seed, double seconds, OpenLoop& loop) {
+void coldOpenLoop(Report& rep, const serve::Router<2>& router, std::span<const Point2> points,
+                  const graph::Partition& partition, std::uint64_t seed, double seconds,
+                  OpenLoop& loop) {
     // Gather queries and expected answers up front: checking against the
     // n-wide partition inside the loop would put cache misses in the timing.
-    const auto batches = queryBatches(points.size(), spec.queryBatch, seed, 64);
-    std::vector<std::vector<Point<D>>> queries(batches.size());
+    const auto batches = queryBatches(points.size(), kColdQueryBatch, seed, 64);
+    std::vector<std::vector<Point2>> queries(batches.size());
     std::vector<std::vector<std::int32_t>> expected(batches.size());
     for (std::size_t b = 0; b < batches.size(); ++b)
         for (const auto i : batches[b]) {
             queries[b].push_back(points[i]);
             expected[b].push_back(partition[i]);
         }
-    std::vector<std::int32_t> out(spec.queryBatch);
+    std::vector<std::int32_t> out(kColdQueryBatch);
     std::uint64_t wrong = 0;
     const std::uint64_t before = loop.attempted;
-    loop.run(spec.queryRate, seconds, [&](std::uint64_t i) {
+    loop.run(kColdQueryRate, seconds, [&](std::uint64_t i) {
         const auto b = static_cast<std::size_t>(i % batches.size());
-        router.route(std::span<const Point<D>>(queries[b]), std::span<std::int32_t>(out));
+        router.route(std::span<const Point2>(queries[b]), std::span<std::int32_t>(out));
         const bool ok = out == expected[b];
         if (!ok) ++wrong;
         return ok;
@@ -711,48 +717,46 @@ void coldOpenLoop(Report& rep, const serve::Router<D>& router,
               "an open-loop route answer differs from the partition");
 }
 
-template <int D>
-void runCold(Report& rep, Tracer& tracer, const ColdSpec& spec, const Seeds& seeds,
-             double seconds, bool traced) {
+void runCold(Report& rep, Tracer& tracer, const Seeds& seeds, double seconds, bool traced) {
     const core::Settings settings = benchSettings();
     // Set-up: mesh generation, repeated; the last mesh is kept.
     std::vector<double> setup;
-    gen::Mesh<D> mesh;
+    gen::Mesh<2> mesh;
     {
         Tracer::Scope s(tracer, "setup");
         for (int r = 0; r < (traced ? 1 : kColdSetupReps); ++r) {
-            mesh = gen::Mesh<D>{};  // free the previous mesh before the next
+            mesh = gen::Mesh<2>{};  // free the previous mesh before the next
             const auto t0 = Clock::now();
-            mesh = makeMesh<D>(spec.n, seeds.instance);
+            mesh = gen::delaunay2d(kColdPoints, seeds.instance);
             setup.push_back(since(t0));
         }
     }
-    const Input<D> input(mesh.points, mesh.weights, seeds.run);
+    const Input<2> input(mesh.points, mesh.weights, seeds.run);
     const std::uint64_t rssSetup = support::peakRssBytes();
-    const std::span<const Point<D>> points(input.points);
+    const std::span<const Point2> points(input.points);
     const std::span<const double> weights(input.weights);
 
     if (traced) {
-        const auto reference = tracedPartition<D>(rep, tracer, points, weights, spec.k);
+        const auto reference = tracedPartition<2>(rep, tracer, points, weights, kColdBlocks);
         const auto pm = checkQuality(rep, mesh.graph, input.toInstanceOrder(reference.partition),
-                                        spec.k, mesh.weights, settings.epsilon);
+                                        kColdBlocks, mesh.weights, settings.epsilon);
         rep.fingerprint = fingerprintOf(reference, pm.totalCommVolume);
-        const auto router = tracedServeLayer<D>(rep, tracer, reference, points);
+        const auto router = tracedServeLayer<2>(rep, tracer, reference, points);
         OpenLoop loop;
         {
             Tracer::Scope s(tracer, "service.open_loop");
-            coldOpenLoop<D>(rep, *router, points, reference.partition, spec, seeds.run,
-                            kMinRounds * kRoundOpenLoopSeconds, loop);
+            coldOpenLoop(rep, *router, points, reference.partition, seeds.run,
+                         kMinRounds * kRoundOpenLoopSeconds, loop);
         }
         serve::ServiceHealth health;  // a bare router: no ingest, one epoch
         health.publishedEpochs = router->epoch();
         reportService(rep, loop, health);
         // Warm restart on the unchanged input from the cold state.
-        repart::RepartState<D> state{core::unflattenCenters<D>(reference.centerCoords),
+        repart::RepartState<2> state{core::unflattenCenters<2>(reference.centerCoords),
                                      reference.influence};
         Tracer::Scope s(tracer, "repart.warm");
         const auto rr =
-            repart::repartitionGeographer<D>(points, weights, spec.k, 1, settings, state);
+            repart::repartitionGeographer<2>(points, weights, kColdBlocks, 1, settings, state);
         const double warm = s.close();
         rep.check(rr.warmStarted, "warm restart fell back to a cold partition");
         rep.metric("repart.warm_s", warm, "s");
@@ -763,22 +767,19 @@ void runCold(Report& rep, Tracer& tracer, const ColdSpec& spec, const Seeds& see
 
     // Rounds for `seconds`: partition, publish and route (Rounds), then the
     // open-loop client against the fresh snapshot.
-    Rounds<D> rounds;
+    Rounds<2> rounds;
     OpenLoop loop;
-    const auto phase = Clock::now();
-    for (int round = 0;; ++round) {
-        const double elapsed = since(phase);
-        if (round >= kMinRounds && elapsed + elapsed / round > seconds) break;
-        rounds.run(rep, points, weights, spec.k);
-        coldOpenLoop<D>(rep, rounds.router, points, rounds.first.partition, spec, seeds.run,
-                        kRoundOpenLoopSeconds, loop);
-    }
+    repeatFor(seconds, [&] {
+        rounds.run(rep, points, weights, kColdBlocks);
+        coldOpenLoop(rep, rounds.router, points, rounds.first.partition, seeds.run,
+                     kRoundOpenLoopSeconds, loop);
+    });
     const auto pm = checkQuality(rep, mesh.graph,
-                                    input.toInstanceOrder(rounds.first.partition), spec.k,
+                                    input.toInstanceOrder(rounds.first.partition), kColdBlocks,
                                     mesh.weights, settings.epsilon);
     rep.fingerprint = fingerprintOf(rounds.first, pm.totalCommVolume);
 
-    reportEndToEnd(rep, rounds, setup, pm, loop, median(rounds.publishedSeconds));
+    reportEndToEnd(rep, rounds, setup, pm, loop, mean(rounds.publishedSeconds));
 }
 
 // ------------------------------------------------ serving under churn
@@ -949,16 +950,20 @@ void runServe(Report& rep, Tracer& tracer, const Seeds& seeds, double seconds, b
         return;
     }
 
-    // Partition-and-route rounds on the base step, half before and half
-    // after the churn phase, so their samples span the run.
+    // The run's `seconds`: partition-and-route rounds on the base step for a
+    // quarter, the churn phase for half, and rounds again for the last
+    // quarter, so the partition samples span the run.
     Rounds<2> rounds;
-    for (int r = 0; r < kServeRounds; ++r) rounds.run(rep, points, weights, kServeBlocks);
+    const auto roundsFor = [&](double s) {
+        repeatFor(s, [&] { rounds.run(rep, points, weights, kServeBlocks); });
+    };
+    roundsFor(seconds / 4);
     checkServiceRoutes(rep, *service, points, rounds.first.partition);
     std::vector<double> staleness;
     serve::ServiceHealth health;
     const OpenLoop loop =
-        churnPhase(rep, *service, *scenario, seeds.run, seconds, staleness, health);
-    for (int r = 0; r < kServeRounds; ++r) rounds.run(rep, points, weights, kServeBlocks);
+        churnPhase(rep, *service, *scenario, seeds.run, seconds / 2, staleness, health);
+    roundsFor(seconds / 4);
 
     const auto pm = checkQuality(rep, graph, input.toInstanceOrder(rounds.first.partition),
                                     kServeBlocks, base.weights, settings.epsilon);
@@ -967,7 +972,7 @@ void runServe(Report& rep, Tracer& tracer, const Seeds& seeds, double seconds, b
 }
 
 int usage() {
-    std::cerr << "usage: geobench --workload cold2d|cold3d|serve-churn2d --seed N "
+    std::cerr << "usage: geobench --workload cold2d|serve-churn2d --seed N "
                  "--seconds S --trace 0|1 [--instance M] [--trace-out PATH] [--run-id ID]\n";
     return 2;
 }
@@ -998,9 +1003,7 @@ int main(int argc, char** argv) {
     const bool traced = trace == 1;
     try {
         if (workload == "cold2d")
-            runCold<2>(rep, tracer, ColdSpec{1000000, 32, 2000.0, 1024}, seeds, seconds, traced);
-        else if (workload == "cold3d")
-            runCold<3>(rep, tracer, ColdSpec{200000, 256, 1000.0, 256}, seeds, seconds, traced);
+            runCold(rep, tracer, seeds, seconds, traced);
         else if (workload == "serve-churn2d")
             runServe(rep, tracer, seeds, seconds, traced);
         else

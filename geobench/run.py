@@ -33,7 +33,7 @@ BUILD_DIR = BUILD_ROOT / "geobench"
 BINARY = BUILD_DIR / "geobench"
 FINGERPRINTS = BUILD_ROOT / "fingerprints.json"
 TRACES = BUILD_ROOT / "traces"
-WORKLOADS = ("cold2d", "cold3d", "serve-churn2d")
+WORKLOADS = ("cold2d", "serve-churn2d")
 RUN_TIMEOUT_S = 170
 
 
