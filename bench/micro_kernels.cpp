@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "baseline/hsfc.hpp"
@@ -99,7 +100,10 @@ BENCHMARK(BM_BalancedKMeans_NoBounds)->Arg(1 << 14);
 // point is (re)assigned. "Reference" is the seed implementation's scalar
 // sqrt-domain loop; "Fast" the squared-domain SoA batch kernel; the T2/T4
 // variants add intra-rank threads. Both modes produce bitwise-identical
-// assignments (tests/test_kmeans.cpp equivalence suite).
+// assignments (tests/test_kmeans.cpp equivalence suite). The engine is
+// driven through a shuffled order, as the sampled initialization does:
+// its state is slot-indexed, so the sweep reads memory sequentially either
+// way, and the result comes back by point id from takeAssignment().
 // ---------------------------------------------------------------------------
 
 template <int DIM>
@@ -131,6 +135,8 @@ void assignSweepBench(benchmark::State& state, bool reference, int threads) {
     core::AssignEngine<DIM> engine(pts, {}, s, k);
     std::vector<std::size_t> order(static_cast<std::size_t>(n));
     std::iota(order.begin(), order.end(), std::size_t{0});
+    for (std::size_t i = order.size(); i > 1; --i)
+        std::swap(order[i - 1], order[rng.below(i)]);
     engine.setActive(order, order.size());
     std::vector<double> sizes(static_cast<std::size_t>(k), 0.0);
     for (auto _ : state) {
@@ -139,6 +145,8 @@ void assignSweepBench(benchmark::State& state, bool reference, int threads) {
         engine.sweep(sizes);
         benchmark::DoNotOptimize(sizes.data());
     }
+    const auto assignment = engine.takeAssignment();
+    benchmark::DoNotOptimize(assignment.data());
     state.SetItemsProcessed(state.iterations() * n);
 }
 

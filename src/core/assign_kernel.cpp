@@ -34,18 +34,14 @@ template <int D>
 AssignEngine<D>::AssignEngine(std::span<const Point<D>> points,
                               std::span<const double> weights,
                               const Settings& settings, std::int32_t k)
-    : points_(points),
-      weights_(weights),
-      settings_(settings),
+    : settings_(settings),
       k_(k),
       store_(points, weights, settings.resolvedMemoryBudget()) {
     GEO_REQUIRE(k_ >= 1, "need at least one center");
-    GEO_REQUIRE(weights_.empty() || weights_.size() == points_.size(),
-                "weights must be empty or match points");
-    assignment_.assign(points_.size(), -1);
-    ub_.assign(points_.size(), kInf);
-    lb_.assign(points_.size(), 0.0);
-    epoch_.assign(points_.size(), 0);
+    assignment_.assign(points.size(), -1);
+    ub_.assign(points.size(), kInf);
+    lb_.assign(points.size(), 0.0);
+    epoch_.assign(points.size(), 0);
     scratch_.resize(static_cast<std::size_t>(settings_.resolvedThreads()));
 }
 
@@ -165,7 +161,6 @@ void AssignEngine<D>::updateCenters(std::span<double> sums) {
         (std::min(store_.wavePoints(), active) + kAssignBlock - 1) / kAssignBlock;
     blockSums_.resize(waveBlocks * stride);
     const int threads = settings_.resolvedThreads();
-    const std::size_t* ids = store_.ids().data();
     // Same wave-then-block left fold as sweep(): bitwise identical at every
     // budget and thread count.
     for (std::size_t w = 0; w < store_.waveCount(); ++w) {
@@ -179,8 +174,8 @@ void AssignEngine<D>::updateCenters(std::span<double> sums) {
                     const std::size_t j0 = b * kAssignBlock;
                     const std::size_t j1 = std::min(wave.count, j0 + kAssignBlock);
                     for (std::size_t j = j0; j < j1; ++j) {
-                        const auto c = static_cast<std::size_t>(
-                            assignment_[ids[wave.begin + j]]);
+                        const auto c =
+                            static_cast<std::size_t>(assignment_[wave.begin + j]);
                         const double weight = wave.weight[j];
                         double* row = partial + c * (D + 1);
                         for (int d = 0; d < D; ++d)
@@ -202,56 +197,56 @@ void AssignEngine<D>::processBlock(const typename PointStore<D>::WaveView& wave,
                                    double* blockSizes) {
     const std::size_t j0 = block * kAssignBlock;
     const std::size_t j1 = std::min(wave.count, j0 + kAssignBlock);
-    const std::size_t* ids = store_.ids().data();
-    scratch.pointIdx.clear();
+    scratch.slot.clear();
     for (int d = 0; d < D; ++d) scratch.gx[static_cast<std::size_t>(d)].clear();
 
-    const bool reference = settings_.referenceAssignment;
     for (std::size_t j = j0; j < j1; ++j) {
-        const std::size_t p = ids[wave.begin + j];
+        const std::size_t s = wave.begin + j;
         scratch.counters.pointEvaluations++;
-        if (settings_.hamerlyBounds && assignment_[p] >= 0) {
-            applyEpochs(p, scratch.counters);
-            if (ub_[p] < lb_[p]) {
+        if (settings_.hamerlyBounds && assignment_[s] >= 0) {
+            applyEpochs(s, scratch.counters);
+            if (ub_[s] < lb_[s]) {
                 scratch.counters.boundSkips++;  // membership provably unchanged
                 continue;
             }
         }
-        scratch.pointIdx.push_back(p);
-        if (!reference && !settings_.useKdTree)
-            for (int d = 0; d < D; ++d)
-                scratch.gx[static_cast<std::size_t>(d)].push_back(
-                    wave.x[static_cast<std::size_t>(d)][j]);
+        scratch.slot.push_back(s);
+        for (int d = 0; d < D; ++d)
+            scratch.gx[static_cast<std::size_t>(d)].push_back(
+                wave.x[static_cast<std::size_t>(d)][j]);
     }
 
-    if (!scratch.pointIdx.empty()) {
-        if (reference) {
-            for (const std::size_t p : scratch.pointIdx)
-                assignPointReference(p, scratch.counters);
+    if (!scratch.slot.empty()) {
+        if (settings_.referenceAssignment) {
+            for (std::size_t i = 0; i < scratch.slot.size(); ++i)
+                assignPointReference(scratch.slot[i], gatheredPoint(scratch, i),
+                                     scratch.counters);
         } else if (settings_.useKdTree) {
             const std::uint32_t cur = currentEpoch();
-            for (const std::size_t p : scratch.pointIdx) {
-                const auto q = tree_.queryNearestIds(points_[p]);
-                assignment_[p] = q.best;
+            for (std::size_t i = 0; i < scratch.slot.size(); ++i) {
+                const std::size_t s = scratch.slot[i];
+                const Point<D> pt = gatheredPoint(scratch, i);
+                const auto q = tree_.queryNearestIds(pt);
+                assignment_[s] = q.best;
                 const auto bc = static_cast<std::size_t>(q.best);
-                ub_[p] = distance(points_[p], centers_[bc]) / influence_[bc];
+                ub_[s] = distance(pt, centers_[bc]) / influence_[bc];
                 if (q.second >= 0) {
                     const auto sc = static_cast<std::size_t>(q.second);
-                    lb_[p] = distance(points_[p], centers_[sc]) / influence_[sc];
+                    lb_[s] = distance(pt, centers_[sc]) / influence_[sc];
                 } else {
-                    lb_[p] = kInf;
+                    lb_[s] = kInf;
                 }
-                epoch_[p] = cur;
+                epoch_[s] = cur;
             }
         } else {
-            batchKernel(scratch, scratch.pointIdx.size());
+            batchKernel(scratch, scratch.slot.size());
         }
     }
 
     // Per-block weighted sizes, accumulated in slot order within the block.
     for (std::int32_t c = 0; c < k_; ++c) blockSizes[c] = 0.0;
     for (std::size_t j = j0; j < j1; ++j)
-        blockSizes[assignment_[ids[wave.begin + j]]] += wave.weight[j];
+        blockSizes[assignment_[wave.begin + j]] += wave.weight[j];
 }
 
 namespace {
@@ -282,18 +277,18 @@ void AssignEngine<D>::batchKernel(Scratch& scratch, std::size_t m) {
     // across modes (the only sqrts on the fast path — at most two per
     // assigned point).
     const auto materialize = [&](std::size_t j) {
-        const std::size_t p = scratch.pointIdx[j];
+        const std::size_t s = scratch.slot[j];
+        const Point<D> pt = gatheredPoint(scratch, j);
         const auto bc = static_cast<std::int32_t>(scratch.bestC[j]);
         GEO_CHECK(bc >= 0, "assignment found no center");
-        assignment_[p] = bc;
-        ub_[p] = distance(points_[p], centers_[static_cast<std::size_t>(bc)]) /
+        assignment_[s] = bc;
+        ub_[s] = distance(pt, centers_[static_cast<std::size_t>(bc)]) /
                  influence_[static_cast<std::size_t>(bc)];
         const auto sc = static_cast<std::int32_t>(scratch.secondC[j]);
-        lb_[p] = sc >= 0
-                     ? distance(points_[p], centers_[static_cast<std::size_t>(sc)]) /
-                           influence_[static_cast<std::size_t>(sc)]
-                     : kInf;
-        epoch_[p] = cur;
+        lb_[s] = sc >= 0 ? distance(pt, centers_[static_cast<std::size_t>(sc)]) /
+                               influence_[static_cast<std::size_t>(sc)]
+                         : kInf;
+        epoch_[s] = cur;
     };
 
     std::size_t live = m;
@@ -388,7 +383,7 @@ void AssignEngine<D>::batchKernel(Scratch& scratch, std::size_t m) {
                     continue;
                 }
                 if (w != j) {
-                    scratch.pointIdx[w] = scratch.pointIdx[j];
+                    scratch.slot[w] = scratch.slot[j];
                     for (int d = 0; d < D; ++d)
                         scratch.gx[static_cast<std::size_t>(d)][w] =
                             scratch.gx[static_cast<std::size_t>(d)][j];
@@ -408,19 +403,19 @@ void AssignEngine<D>::batchKernel(Scratch& scratch, std::size_t m) {
 /// The seed implementation's inner loop, verbatim: per-candidate sqrt in
 /// the effective-distance domain with the per-point pruning break.
 template <int D>
-void AssignEngine<D>::assignPointReference(std::size_t p, KMeansCounters& counters) {
+void AssignEngine<D>::assignPointReference(std::size_t s, const Point<D>& pt,
+                                           KMeansCounters& counters) {
     const std::uint32_t cur = currentEpoch();
     if (settings_.useKdTree) {
-        const auto q = tree_.query(points_[p]);
-        assignment_[p] = q.best;
-        ub_[p] = q.bestDistance;
-        lb_[p] = q.secondDistance;
-        epoch_[p] = cur;
+        const auto q = tree_.query(pt);
+        assignment_[s] = q.best;
+        ub_[s] = q.bestDistance;
+        lb_[s] = q.secondDistance;
+        epoch_[s] = cur;
         return;
     }
     double best = kInf, second = kInf;
     std::int32_t bestC = -1;
-    const Point<D>& pt = points_[p];
     for (std::size_t ci = 0; ci < sortedCenters_.size(); ++ci) {
         const std::int32_t c = sortedCenters_[ci];
         if (keysValid_ && centerKey_[static_cast<std::size_t>(c)] > second) {
@@ -439,19 +434,19 @@ void AssignEngine<D>::assignPointReference(std::size_t p, KMeansCounters& counte
         }
     }
     GEO_CHECK(bestC >= 0, "assignment found no center");
-    assignment_[p] = bestC;
-    ub_[p] = best;
-    lb_[p] = second;
-    epoch_[p] = cur;
+    assignment_[s] = bestC;
+    ub_[s] = best;
+    lb_[s] = second;
+    epoch_[s] = cur;
 }
 
 template <int D>
-void AssignEngine<D>::applyEpochs(std::size_t p, KMeansCounters& counters) {
+void AssignEngine<D>::applyEpochs(std::size_t s, KMeansCounters& counters) {
     const std::uint32_t cur = currentEpoch();
-    std::uint32_t e = epoch_[p];
+    std::uint32_t e = epoch_[s];
     if (e == cur) return;
-    const auto c = static_cast<std::size_t>(assignment_[p]);
-    double ub = ub_[p], lb = lb_[p];
+    const auto c = static_cast<std::size_t>(assignment_[s]);
+    double ub = ub_[s], lb = lb_[s];
     counters.epochBoundApplications += cur - e;
     for (; e < cur; ++e) {
         const Epoch& ep = epochs_[e];
@@ -463,9 +458,9 @@ void AssignEngine<D>::applyEpochs(std::size_t p, KMeansCounters& counters) {
             lb *= ep.minRatio;
         }
     }
-    ub_[p] = ub;
-    lb_[p] = lb;
-    epoch_[p] = cur;
+    ub_[s] = ub;
+    lb_[s] = lb;
+    epoch_[s] = cur;
 }
 
 template <int D>
@@ -504,6 +499,19 @@ void AssignEngine<D>::resetBounds() {
     // again — drop the log instead of retaining O(rounds · k) dead state.
     epochs_.clear();
     std::fill(epoch_.begin(), epoch_.end(), 0u);
+}
+
+template <int D>
+std::vector<std::int32_t> AssignEngine<D>::takeAssignment() {
+    // Free the bound state first so the output does not raise peak RSS.
+    std::vector<double>().swap(ub_);
+    std::vector<double>().swap(lb_);
+    std::vector<std::uint32_t>().swap(epoch_);
+    std::vector<std::int32_t> byPoint(assignment_.size(), -1);
+    const auto order = store_.order();
+    for (std::size_t s = 0; s < order.size(); ++s) byPoint[order[s]] = assignment_[s];
+    std::vector<std::int32_t>().swap(assignment_);
+    return byPoint;
 }
 
 template class AssignEngine<2>;

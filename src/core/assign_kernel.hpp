@@ -2,8 +2,8 @@
 //
 // Every subsystem (one-shot partitioner, repart warm restarts, hier
 // per-node solves) funnels into the assignment sweep of Algorithm 1/2; this
-// engine owns that hot path. Four ideas, independently toggleable through
-// Settings:
+// engine owns that hot path. Five ideas; the first four are independently
+// toggleable through Settings:
 //
 //   1. Squared effective-distance domain. Candidates are compared as
 //      dist²(p,c) · (1/influence(c)²); x ↦ x² is monotone on non-negative
@@ -25,23 +25,28 @@
 //      setActive() hands the active order to a PointStore, which mirrors
 //      the points into per-dimension tile arrays under the byte budget of
 //      Settings::memoryBudgetBytes / GEO_MEM_BUDGET: unlimited keeps the
-//      whole set resident (one gather per setActive, as before); a finite
-//      budget materializes budget-sized waves of fixed 1024-point tiles,
-//      regenerated from the caller's points on every pass. The sweep walks
+//      whole set resident (each setActive gathers only the newly active
+//      slots); a finite budget materializes budget-sized waves of fixed
+//      1024-point tiles, regenerated from the caller's points on every
+//      pass. The sweep walks
 //      the waves in order, each wave's fixed 1024-point blocks in parallel,
 //      gathers the not-skipped points of each block into contiguous
 //      scratch, and runs an auto-vectorizable centers-outer / points-inner
 //      kernel with branchless best/second tracking. Weighted cluster sizes
 //      are accumulated per block and reduced in block order.
-//   4. Intra-rank threading (Settings::threads; the old name assignThreads
-//      survives as a deprecated alias) via par::parallelFor over whole
-//      blocks. Because block (and wave) boundaries are fixed and the block
+//   4. Intra-rank threading (Settings::threads) via par::parallelFor over
+//      whole blocks. Because block (and wave) boundaries are fixed and the block
 //      partials are reduced serially in ascending global block order —
 //      waves ascending, blocks within a wave ascending, which is the same
 //      left fold the resident path performs — results are bitwise
 //      identical at every thread count AND every memory budget. The same
 //      contract covers updateCenters(), the threaded Alg. 2 line-13
 //      reduction.
+//   5. Slot-indexed state. The active order is fixed and the active set
+//      only grows, so it is always the slot prefix [0, activeCount).
+//      Assignment, ub, lb and epoch are stored by slot, so sweeps read
+//      them sequentially even under the sampled initialization's random
+//      order; takeAssignment() scatters them back to point ids once.
 //
 // Settings::referenceAssignment selects the scalar sqrt-domain kernel (the
 // seed implementation's per-candidate loop) as an equivalence oracle; the
@@ -69,12 +74,10 @@ public:
     AssignEngine(std::span<const Point<D>> points, std::span<const double> weights,
                  const Settings& settings, std::int32_t k);
 
-    /// Declare the active prefix order[0..activeCount) — the PointStore
-    /// recomputes the active bounding box and (budget permitting) mirrors
-    /// the points. Called once per assignAndBalance (the active set only
-    /// changes between calls). `order` is referenced, not copied: a
-    /// budgeted store regenerates tiles from it on every sweep, so it must
-    /// stay valid and unchanged until the next setActive.
+    /// Declare the active prefix order[0..activeCount): slot s of the
+    /// engine's state holds point order[s]. The first call fixes `order`
+    /// (referenced, not copied) for the engine's lifetime; later calls
+    /// must pass the same span and a count no smaller than the current one.
     void setActive(std::span<const std::size_t> order, std::size_t activeCount);
 
     /// Bounding box of the active points (invalid when none are active).
@@ -114,12 +117,14 @@ public:
     /// Forget all bounds (ub = ∞, lb = 0) and mark every point current.
     void resetBounds();
 
+    /// Current assignment indexed by slot (equal to point id under the
+    /// identity order); -1 for slots not yet assigned.
     [[nodiscard]] std::span<const std::int32_t> assignment() const noexcept {
         return assignment_;
     }
-    [[nodiscard]] std::vector<std::int32_t> takeAssignment() noexcept {
-        return std::move(assignment_);
-    }
+    /// The assignment indexed by point id (-1 for points outside the
+    /// order). Ends the engine's life: it releases all per-slot state.
+    [[nodiscard]] std::vector<std::int32_t> takeAssignment();
     [[nodiscard]] const KMeansCounters& counters() const noexcept { return counters_; }
 
 private:
@@ -135,7 +140,7 @@ private:
     /// are tracked as doubles inside the batch kernel so every lane of the
     /// select has one width (vectorizer-friendly); materialization narrows.
     struct Scratch {
-        std::vector<std::size_t> pointIdx;  ///< global point id per gathered slot
+        std::vector<std::size_t> slot;  ///< active slot per gathered lane
         std::array<std::vector<double>, static_cast<std::size_t>(D)> gx;
         std::vector<double> best2, second2, bestC, secondC;
         KMeansCounters counters;
@@ -145,18 +150,22 @@ private:
                       std::size_t block, Scratch& scratch, double* blockSizes);
     void batchKernel(Scratch& scratch, std::size_t m);
     void recordStoreCounters();
-    void assignPointReference(std::size_t p, KMeansCounters& counters);
-    void applyEpochs(std::size_t p, KMeansCounters& counters);
+    void assignPointReference(std::size_t s, const Point<D>& pt, KMeansCounters& counters);
+    void applyEpochs(std::size_t s, KMeansCounters& counters);
+    /// Lane i's coordinates as a point: the same doubles as the caller's.
+    [[nodiscard]] static Point<D> gatheredPoint(const Scratch& scratch, std::size_t i) {
+        Point<D> pt;
+        for (int d = 0; d < D; ++d) pt[d] = scratch.gx[static_cast<std::size_t>(d)][i];
+        return pt;
+    }
     [[nodiscard]] std::uint32_t currentEpoch() const noexcept {
         return static_cast<std::uint32_t>(epochs_.size());
     }
 
-    std::span<const Point<D>> points_;
-    std::span<const double> weights_;
     const Settings& settings_;
     std::int32_t k_;
 
-    // Persistent per-point state (indexed by global point id).
+    // Persistent per-point state, indexed by active slot (see setActive).
     std::vector<std::int32_t> assignment_;
     std::vector<double> ub_, lb_;
     std::vector<std::uint32_t> epoch_;

@@ -207,8 +207,8 @@ private:
     /// until balance or maxBalanceIterations. Returns achieved imbalance.
     double assignAndBalance() {
         const Timer assignTimer;
-        // Mirror the *active* local points into the engine's SoA arrays and
-        // compute their bounding box (§4.4) — once per call, like the seed.
+        // Grow the engine's active prefix to the current sample: its SoA
+        // mirror and bounding box (§4.4) are extended by the new points.
         engine_.setActive(order_, sampleSize_);
 
         double imb = kInf;

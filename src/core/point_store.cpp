@@ -20,20 +20,26 @@ void PointStore<D>::setActive(std::span<const std::size_t> order,
                               std::size_t activeCount, int threads) {
     GEO_REQUIRE(activeCount <= order.size() && activeCount <= points_.size(),
                 "active count exceeds available points");
-    order_ = order.first(activeCount);
+    if (orderFixed_) {
+        GEO_REQUIRE(order.data() == order_.data() && order.size() == order_.size(),
+                    "the active order is fixed by the first setActive");
+        GEO_REQUIRE(activeCount >= active_, "the active prefix only grows");
+    }
+    order_ = order;
+    orderFixed_ = true;
+    const std::size_t old = active_;
     active_ = activeCount;
 
-    // Active bounding box: per-worker partial boxes merged serially — box
-    // merge is exact coordinate min/max, so the result is thread-count
-    // independent.
-    box_ = Box<D>::empty();
-    if (active_ > 0) {
+    // Extend the box by the new slots only: per-worker partial boxes merged
+    // serially. Box merge is exact coordinate min/max, so the result is
+    // bitwise the box of the whole prefix at any thread count.
+    if (active_ > old) {
         std::vector<Box<D>> partial(static_cast<std::size_t>(std::max(1, threads)),
                                     Box<D>::empty());
-        par::parallelFor(threads, active_,
+        par::parallelFor(threads, active_ - old,
                          [&](std::size_t i0, std::size_t i1, int worker) {
                              Box<D> bb = Box<D>::empty();
-                             for (std::size_t i = i0; i < i1; ++i)
+                             for (std::size_t i = old + i0; i < old + i1; ++i)
                                  bb.extend(points_[order_[i]]);
                              partial[static_cast<std::size_t>(worker)] = bb;
                          });
@@ -43,7 +49,8 @@ void PointStore<D>::setActive(std::span<const std::size_t> order,
 
     // Wave geometry: whole set resident when it fits the budget; otherwise
     // budget-sized waves rounded down to whole tiles (clamped up to one
-    // tile, so a sub-tile budget still makes progress).
+    // tile, so a sub-tile budget still makes progress). The prefix only
+    // grows, so a store that once chunked never turns resident again.
     resident_ = budget_ == 0 || budget_ >= kBytesPerPoint * active_;
     if (resident_) {
         wavePoints_ = active_;
@@ -63,9 +70,14 @@ void PointStore<D>::setActive(std::span<const std::size_t> order,
     acc_.residentBytes = kBytesPerPoint * capacity;
     acc_.peakResidentBytes = std::max(acc_.peakResidentBytes, acc_.residentBytes);
 
+    // A resident store already holds slots [0, old) (the previous call was
+    // resident too), so it gathers only the new slots [old, active).
     if (resident_ && active_ > 0) {
-        fill(0, active_, threads);
-        acc_.tileFills += (active_ + kTilePoints - 1) / kTilePoints;
+        if (active_ > old) {
+            fill(old, active_, 0, threads);
+            acc_.tileFills +=
+                (active_ + kTilePoints - 1) / kTilePoints - old / kTilePoints;
+        }
         waveFilled_[0] = 1;
         loadedWave_ = 0;
     }
@@ -77,7 +89,7 @@ typename PointStore<D>::WaveView PointStore<D>::wave(std::size_t w, int threads)
     const std::size_t begin = w * wavePoints_;
     const std::size_t count = std::min(active_ - begin, wavePoints_);
     if (loadedWave_ != w) {
-        fill(begin, count, threads);
+        fill(begin, begin + count, begin, threads);
         const std::uint64_t tiles = (count + kTilePoints - 1) / kTilePoints;
         acc_.tileFills += tiles;
         if (waveFilled_[w] != 0) acc_.spilledTiles += tiles;
@@ -94,13 +106,14 @@ typename PointStore<D>::WaveView PointStore<D>::wave(std::size_t w, int threads)
 }
 
 template <int D>
-void PointStore<D>::fill(std::size_t begin, std::size_t count, int threads) {
-    par::parallelFor(threads, count, [&](std::size_t j0, std::size_t j1, int) {
-        for (std::size_t j = j0; j < j1; ++j) {
-            const std::size_t p = order_[begin + j];
+void PointStore<D>::fill(std::size_t begin, std::size_t end, std::size_t base,
+                         int threads) {
+    par::parallelFor(threads, end - begin, [&](std::size_t i0, std::size_t i1, int) {
+        for (std::size_t i = begin + i0; i < begin + i1; ++i) {
+            const std::size_t p = order_[i];
             const Point<D>& pt = points_[p];
-            for (int d = 0; d < D; ++d) sx_[static_cast<std::size_t>(d)][j] = pt[d];
-            sw_[j] = weights_.empty() ? 1.0 : weights_[p];
+            for (int d = 0; d < D; ++d) sx_[static_cast<std::size_t>(d)][i - base] = pt[d];
+            sw_[i - base] = weights_.empty() ? 1.0 : weights_[p];
         }
     });
 }

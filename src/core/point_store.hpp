@@ -7,14 +7,19 @@
 // algorithm — are the memory wall. A PointStore materializes the active
 // set in fixed 1024-point tiles grouped into budget-sized *waves*:
 //
-//   * budget = 0 (unlimited): one wave holds the whole active set,
-//     gathered once per setActive — exactly the pre-budget behavior.
+//   * budget = 0 (unlimited): one wave holds the whole active set.
 //   * budget > 0: a wave holds floor(budget / bytesPerPoint) points,
 //     rounded down to a whole number of tiles (clamped up to one tile —
 //     a budget smaller than one tile still makes progress). Each sweep
 //     walks the waves in order; requesting a wave regenerates it from the
 //     caller's points/weights via the active order (an O(wave) gather),
 //     so only one wave's storage is ever allocated.
+//
+// Growing prefix: the active order is fixed by the first setActive and the
+// active count only grows (§4.5 sampling). A resident store keeps slots
+// [0, old) and gathers only [old, new); the box is extended by just those
+// points (exact min/max, so bitwise the same). A chunked store still
+// regenerates every wave through the order.
 //
 // Determinism contract (DESIGN.md "Memory model & tiling"): wave
 // boundaries are multiples of the tile size, which equals the assignment
@@ -56,17 +61,17 @@ public:
     PointStore(std::span<const Point<D>> points, std::span<const double> weights,
                std::uint64_t budgetBytes);
 
-    /// Declare the active prefix order[0..activeCount): recompute the
-    /// active bounding box, the wave geometry, and (when the budget allows
-    /// residency) gather the whole set once. Unlike the pre-store engine,
-    /// `order` is referenced, not copied — a chunked store regenerates
-    /// waves from it on every pass, so it must stay valid and unchanged
-    /// until the next setActive.
+    /// Declare the active prefix order[0..activeCount): extend the box and
+    /// (when resident) the mirror by the new slots, and recompute the wave
+    /// geometry. The first call fixes `order` (referenced, not copied) for
+    /// the store's lifetime; later calls must pass the same span and a
+    /// count no smaller than the current one.
     void setActive(std::span<const std::size_t> order, std::size_t activeCount,
                    int threads);
 
-    /// The active order this store gathers through (what setActive kept).
-    [[nodiscard]] std::span<const std::size_t> ids() const noexcept { return order_; }
+    /// The fixed active order (all of it; slots past activeCount() are not
+    /// active yet). Active slot s holds point order()[s].
+    [[nodiscard]] std::span<const std::size_t> order() const noexcept { return order_; }
     [[nodiscard]] std::size_t activeCount() const noexcept { return active_; }
     [[nodiscard]] const Box<D>& activeBox() const noexcept { return box_; }
 
@@ -103,13 +108,15 @@ public:
     [[nodiscard]] const Accounting& accounting() const noexcept { return acc_; }
 
 private:
-    void fill(std::size_t begin, std::size_t count, int threads);
+    /// Gather slots [begin, end) into storage index slot - base.
+    void fill(std::size_t begin, std::size_t end, std::size_t base, int threads);
 
     std::span<const Point<D>> points_;
     std::span<const double> weights_;
     std::uint64_t budget_ = 0;
 
     std::span<const std::size_t> order_;
+    bool orderFixed_ = false;
     std::size_t active_ = 0;
     Box<D> box_ = Box<D>::empty();
 

@@ -74,25 +74,98 @@ TEST(AssignEngine, StaleKeysAreNotConsultedWhenBoxIsInvalid) {
         s.hamerlyBounds = true;
         AssignEngine<2> engine(points, {}, s, 3);
         std::vector<double> sizes(3, 0.0);
+        // The order is fixed for the engine's lifetime; the prefix grows.
+        const std::vector<std::size_t> order{0, 1};
 
         // Round 1: only p0 active; its box is far from every center, so the
         // pruning keys are all large (key for center 2 ≈ 95).
-        const std::vector<std::size_t> round1{0};
-        engine.setActive(round1, 1);
+        engine.setActive(order, 1);
         engine.beginRound(centers, influence, engine.activeBox());
         engine.sweep(sizes);
+        ASSERT_EQ(engine.assignment()[0], 2);
 
-        // Round 2: only p1 active, but the caller supplies an *invalid* box
-        // (the state of a rank with no active points). With stale keys the
-        // identity-order scan would compute centers 0 and 1 (eff dist 5 and
-        // 4.9), see stale key[2] ≈ 95 > second ≈ 5 and break — wrongly
-        // assigning p1 to center 1. Fresh guard: no keys, full scan.
-        const std::vector<std::size_t> round2{1};
-        engine.setActive(round2, 1);
+        // Round 2: p1 joins, but the caller supplies an *invalid* box (the
+        // state of a rank with no active points). p0 is skipped by its
+        // bounds (ub 95 < lb 99.9, no epoch in between). With stale keys
+        // the identity-order scan for p1 would compute centers 0 and 1 (eff
+        // dist 5 and 4.9), see stale key[2] ≈ 95 > second ≈ 5 and break —
+        // wrongly assigning p1 to center 1. Fresh guard: no keys, full scan.
+        engine.setActive(order, 2);
         engine.beginRound(centers, influence, Box2::empty());
         engine.sweep(sizes);
+        EXPECT_EQ(engine.counters().boundSkips, 1u);
         EXPECT_EQ(engine.assignment()[1], 2)
             << (reference ? "reference" : "fast") << " mode consulted stale keys";
+    }
+}
+
+/// A shuffled order (the sampled initialization's) exercises the
+/// slot <-> point mapping: state lives by slot, the result by point id.
+/// The prefix grows in three steps with influence and move epochs pushed
+/// in between, so grown-in slots meet replayed epochs of older slots.
+TEST(AssignEngine, ShuffledOrderGrowingPrefixMatchesBruteForce) {
+    const auto points = randomPoints<2>(5000, 307);
+    Xoshiro256 rng(311);
+    std::vector<double> weights;
+    for (std::size_t i = 0; i < points.size(); ++i) weights.push_back(rng.uniform(0.1, 3.0));
+    std::vector<std::size_t> order = identityOrder(points.size());
+    for (std::size_t i = order.size(); i > 1; --i) std::swap(order[i - 1], order[rng.below(i)]);
+    const std::int32_t k = 14;
+    const auto ks = static_cast<std::size_t>(k);
+    const auto startCenters = randomPoints<2>(k, 313);
+
+    std::vector<std::int32_t> want;
+    for (const int threads : {1, 3}) {
+        Settings s;
+        s.threads = threads;
+        AssignEngine<2> engine(points, weights, s, k);
+        auto centers = startCenters;
+        std::vector<double> influence(ks, 1.0);
+        std::vector<double> sizes(ks, 0.0), ratio(ks), shift(ks);
+        Xoshiro256 perturb(317);
+        for (const std::size_t active : {std::size_t{700}, std::size_t{2100}, points.size()}) {
+            engine.setActive(order, active);
+            engine.beginRound(centers, influence, engine.activeBox());
+            engine.sweep(sizes);
+            for (std::size_t slot = 0; slot < active; ++slot)
+                ASSERT_EQ(engine.assignment()[slot],
+                          nearestCenter(points[order[slot]], centers, influence))
+                    << "t" << threads << " active " << active << " slot " << slot;
+
+            // An influence epoch, then a move epoch, before the next growth.
+            for (std::size_t c = 0; c < ks; ++c) {
+                const double before = influence[c];
+                influence[c] *= perturb.uniform(0.96, 1.04);
+                ratio[c] = before / influence[c];
+            }
+            engine.pushInfluenceEpoch(ratio);
+            engine.beginRound(centers, influence, engine.activeBox());
+            engine.sweep(sizes);
+            for (std::size_t c = 0; c < ks; ++c) {
+                Point2 moved = centers[c];
+                moved[0] += perturb.uniform(-0.01, 0.01);
+                moved[1] += perturb.uniform(-0.01, 0.01);
+                const double delta = distance(moved, centers[c]);
+                centers[c] = moved;
+                ratio[c] = 1.0;
+                shift[c] = delta / influence[c];
+            }
+            engine.pushMoveEpoch(ratio, shift);
+        }
+        engine.beginRound(centers, influence, engine.activeBox());
+        engine.sweep(sizes);
+        EXPECT_GT(engine.counters().boundSkips, 0u);
+        EXPECT_GT(engine.counters().epochBoundApplications, 0u);
+
+        const auto assign = engine.takeAssignment();
+        ASSERT_EQ(assign.size(), points.size());
+        for (std::size_t p = 0; p < points.size(); ++p)
+            ASSERT_EQ(assign[p], nearestCenter(points[p], centers, influence))
+                << "t" << threads << " point " << p;
+        if (threads == 1)
+            want = assign;
+        else
+            EXPECT_EQ(assign, want) << "threads=" << threads;
     }
 }
 

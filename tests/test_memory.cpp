@@ -195,6 +195,72 @@ TEST_F(PointStoreFixture, SpilledTilesCountRefillsOnly) {
     EXPECT_EQ(store.accounting().spilledTiles, spills);
 }
 
+/// A grown store must hold exactly what a fresh store at the final count
+/// holds: the same box and, wave by wave, the same gathered slots.
+void expectSameStore(PointStore<2>& grown, PointStore<2>& fresh, int threads) {
+    EXPECT_EQ(grown.activeCount(), fresh.activeCount());
+    EXPECT_EQ(grown.resident(), fresh.resident());
+    EXPECT_EQ(grown.activeBox().lo, fresh.activeBox().lo);
+    EXPECT_EQ(grown.activeBox().hi, fresh.activeBox().hi);
+    ASSERT_EQ(grown.waveCount(), fresh.waveCount());
+    for (std::size_t w = 0; w < fresh.waveCount(); ++w) {
+        const auto a = grown.wave(w, threads);
+        const auto b = fresh.wave(w, threads);
+        ASSERT_EQ(a.begin, b.begin);
+        ASSERT_EQ(a.count, b.count);
+        for (std::size_t j = 0; j < b.count; ++j) {
+            ASSERT_EQ(a.x[0][j], b.x[0][j]) << "wave " << w << " slot " << j;
+            ASSERT_EQ(a.x[1][j], b.x[1][j]);
+            ASSERT_EQ(a.weight[j], b.weight[j]);
+        }
+    }
+}
+
+TEST_F(PointStoreFixture, GrowingPrefixGathersOnlyTheNewSlots) {
+    // A shuffled order, like the sampled initialization's.
+    std::vector<std::size_t> order = order_;
+    Xoshiro256 rng(73);
+    for (std::size_t i = order.size(); i > 1; --i) std::swap(order[i - 1], order[rng.below(i)]);
+    const std::size_t m1 = 2 * PointStore<2>::kTilePoints;  // tile-aligned
+    const std::size_t m2 = points_.size();
+    const std::uint64_t tilesAtM2 =
+        (m2 + PointStore<2>::kTilePoints - 1) / PointStore<2>::kTilePoints;
+
+    // Resident growth: the second call gathers only tiles [2, 5).
+    for (const int threads : {1, 3}) {
+        PointStore<2> grown(points_, weights_, /*budgetBytes=*/0);
+        grown.setActive(order, m1, threads);
+        EXPECT_EQ(grown.accounting().tileFills, 2u);
+        grown.setActive(order, m2, threads);
+        EXPECT_EQ(grown.accounting().tileFills, tilesAtM2);
+        PointStore<2> fresh(points_, weights_, 0);
+        fresh.setActive(order, m2, threads);
+        expectSameStore(grown, fresh, threads);
+        // Re-declaring the same count gathers nothing.
+        grown.setActive(order, m2, threads);
+        EXPECT_EQ(grown.accounting().tileFills, tilesAtM2);
+    }
+
+    // Growth across the budget: resident at m1 (2048 points = 48 KiB),
+    // chunked into 2048-point waves at m2 — the same as a fresh chunked
+    // store, and not a spill on its first pass.
+    PointStore<2> grown(points_, weights_, 49152);
+    grown.setActive(order, m1, 2);
+    ASSERT_TRUE(grown.resident());
+    grown.setActive(order, m2, 2);
+    ASSERT_FALSE(grown.resident());
+    PointStore<2> fresh(points_, weights_, 49152);
+    fresh.setActive(order, m2, 2);
+    expectSameStore(grown, fresh, 2);
+    EXPECT_EQ(grown.accounting().spilledTiles, 0u);
+
+    // The order is fixed by the first call and the prefix only grows.
+    PointStore<2> store(points_, weights_, 0);
+    store.setActive(order, m1, 1);
+    EXPECT_THROW(store.setActive(order_, m2, 1), std::invalid_argument);
+    EXPECT_THROW(store.setActive(order, m1 - 1, 1), std::invalid_argument);
+}
+
 /// The tentpole assertion: identical bits with and without a budget.
 void expectSameResult(const GeographerResult& got, const GeographerResult& want,
                       const std::string& label) {
