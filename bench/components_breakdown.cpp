@@ -203,33 +203,6 @@ int main(int argc, char** argv) {
     std::cout << "\nPaper shape: k-means dominates at small p; the redistribution share\n"
                  "grows with the number of processes.\n\n";
 
-    // Assignment-engine before/after: the same pipeline with the scalar
-    // sqrt-domain reference kernel (the seed implementation) vs the fast
-    // engine (squared-distance SoA batch kernel + lazy epoch bounds), plus
-    // the engine's own counters. Assignments are identical in both modes.
-    std::cout << "=== assignment engine before/after (kmeans phase) ===\n";
-    Table engineTable({"ranks", "mode", "kmeans[s]", "distCalcs", "batched", "epochApps",
-                       "skip%"});
-    for (const int ranks : {1, 4}) {
-        for (const bool reference : {true, false}) {
-            core::Settings settings;
-            settings.transport = transport;
-            settings.memoryBudgetBytes = memBudget;
-            settings.referenceAssignment = reference;
-            const auto res =
-                core::partitionGeographer<2>(mesh.points, {}, k, ranks, settings);
-            engineTable.addRow(
-                {std::to_string(ranks), reference ? "reference" : "fast",
-                 Table::num(res.phaseSeconds.at("kmeans"), 3),
-                 std::to_string(res.counters.distanceCalcs),
-                 std::to_string(res.counters.batchedDistanceCalcs),
-                 std::to_string(res.counters.epochBoundApplications),
-                 Table::num(100.0 * res.counters.skipFraction(), 3)});
-        }
-    }
-    engineTable.print(std::cout);
-    std::cout << "\nreference = seed scalar kernel (one sqrt per candidate, eager bound\n"
-                 "sweeps); fast = squared-domain batch kernel with lazy epoch bounds.\n\n";
     }  // resumeRow == 0 preamble
 
     // Per-phase intra-rank thread scaling: the whole pipeline on ONE rank so

@@ -143,12 +143,11 @@ int main(int argc, char** argv) {
         }
         table.print(std::cout);
         // Assignment-engine counters over the three instances: the per-node
-        // hierarchical solves inherit the fast engine (batched
-        // squared-distance kernels, lazy epoch bounds) like the flat run.
+        // hierarchical solves inherit the fast engine (squared-distance
+        // batch kernel, lazy epoch bounds) like the flat run.
         const auto printCounters = [](const char* name,
                                       const geo::core::KMeansCounters& c) {
             std::cout << name << ": distCalcs=" << c.distanceCalcs
-                      << " batched=" << c.batchedDistanceCalcs
                       << " epochApps=" << c.epochBoundApplications << " skip%="
                       << geo::Table::num(100.0 * c.skipFraction(), 3) << '\n';
         };

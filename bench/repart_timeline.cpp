@@ -473,11 +473,10 @@ int main(int argc, char** argv) {
 
         // Assignment-engine counters summed over all steps: the warm path
         // inherits the fast engine's savings (lazy epoch bounds applied on
-        // touch, batched squared-distance kernels, Hamerly skips).
+        // touch, the squared-distance batch kernel, Hamerly skips).
         const auto printCounters = [](const char* name,
                                       const core::KMeansCounters& c) {
             std::cout << name << ": distCalcs=" << c.distanceCalcs
-                      << " batched=" << c.batchedDistanceCalcs
                       << " epochApps=" << c.epochBoundApplications << " skip%="
                       << Table::num(100.0 * c.skipFraction(), 3)
                       << " peakTileKB=" << c.peakTileBytes / 1024

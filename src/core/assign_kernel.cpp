@@ -72,12 +72,10 @@ void AssignEngine<D>::beginRound(std::span<const Point<D>> centers,
                 "need one center and one influence value per cluster");
     centers_ = centers;
     influence_ = influence;
-    if (!settings_.referenceAssignment) {
-        invInfluence2_.resize(static_cast<std::size_t>(k_));
-        for (std::int32_t c = 0; c < k_; ++c) {
-            const double inf = influence_[static_cast<std::size_t>(c)];
-            invInfluence2_[static_cast<std::size_t>(c)] = 1.0 / (inf * inf);
-        }
+    invInfluence2_.resize(static_cast<std::size_t>(k_));
+    for (std::int32_t c = 0; c < k_; ++c) {
+        const double inf = influence_[static_cast<std::size_t>(c)];
+        invInfluence2_[static_cast<std::size_t>(c)] = 1.0 / (inf * inf);
     }
     sortedCenters_.resize(static_cast<std::size_t>(k_));
     std::iota(sortedCenters_.begin(), sortedCenters_.end(), 0);
@@ -92,10 +90,8 @@ void AssignEngine<D>::beginRound(std::span<const Point<D>> centers,
         centerKey_.resize(static_cast<std::size_t>(k_));
         for (std::int32_t c = 0; c < k_; ++c) {
             const auto ci = static_cast<std::size_t>(c);
-            centerKey_[ci] = settings_.referenceAssignment
-                                 ? activeBox.minDistance(centers_[ci]) / influence_[ci]
-                                 : activeBox.minSquaredDistance(centers_[ci]) *
-                                       invInfluence2_[ci];
+            centerKey_[ci] =
+                activeBox.minSquaredDistance(centers_[ci]) * invInfluence2_[ci];
         }
         std::sort(sortedCenters_.begin(), sortedCenters_.end(),
                   [&](std::int32_t a, std::int32_t b) {
@@ -217,11 +213,7 @@ void AssignEngine<D>::processBlock(const typename PointStore<D>::WaveView& wave,
     }
 
     if (!scratch.slot.empty()) {
-        if (settings_.referenceAssignment) {
-            for (std::size_t i = 0; i < scratch.slot.size(); ++i)
-                assignPointReference(scratch.slot[i], gatheredPoint(scratch, i),
-                                     scratch.counters);
-        } else if (settings_.useKdTree) {
+        if (settings_.useKdTree) {
             const std::uint32_t cur = currentEpoch();
             for (std::size_t i = 0; i < scratch.slot.size(); ++i) {
                 const std::size_t s = scratch.slot[i];
@@ -252,7 +244,7 @@ void AssignEngine<D>::processBlock(const typename PointStore<D>::WaveView& wave,
 namespace {
 /// How many sorted centers the batch kernel scans between lane-retirement
 /// passes. A lane (point) is finished as soon as the next center's pruning
-/// key exceeds its second-best — the per-point break of the scalar path —
+/// key exceeds its second-best — the per-point break of the seed algorithm —
 /// so the interval only bounds how many extra candidates a finished lane
 /// may see before it is compacted away.
 constexpr std::size_t kRetireInterval = 4;
@@ -272,10 +264,10 @@ void AssignEngine<D>::batchKernel(Scratch& scratch, std::size_t m) {
     scratch.secondC.assign(m, -1.0);
     const std::uint32_t cur = currentEpoch();
 
-    // Materialize one lane: recompute the Hamerly bounds with the exact
-    // scalar expression of the reference path, so ub/lb agree bitwise
-    // across modes (the only sqrts on the fast path — at most two per
-    // assigned point).
+    // Materialize one lane: recompute the Hamerly bounds with the seed
+    // algorithm's exact scalar expression (distance(p,c)/influence(c)), so
+    // ub/lb agree with it bitwise (the only sqrts on the fast path — at
+    // most two per assigned point).
     const auto materialize = [&](std::size_t j) {
         const std::size_t s = scratch.slot[j];
         const Point<D> pt = gatheredPoint(scratch, j);
@@ -314,7 +306,7 @@ void AssignEngine<D>::batchKernel(Scratch& scratch, std::size_t m) {
         // selects. The SSE2 body below is this exact computation two lanes
         // at a time (minpd/maxpd + compare-mask selects); the tie behaviour
         // of minpd/maxpd only ever picks between bitwise-equal values, so
-        // both bodies match the scalar reference's strict-< logic exactly.
+        // both bodies match the seed algorithm's strict-< logic exactly.
         const auto scalarLanes = [&](std::size_t from, std::size_t to) {
             for (std::size_t j = from; j < to; ++j) {
                 double d2 = 0.0;
@@ -366,11 +358,10 @@ void AssignEngine<D>::batchKernel(Scratch& scratch, std::size_t m) {
         scalarLanes(0, live);
 #endif
         scratch.counters.distanceCalcs += live;
-        scratch.counters.batchedDistanceCalcs += live;
 
         // Retire finished lanes. Keys are sorted ascending, so once
         // key[next] > second2[lane] holds, every remaining center fails the
-        // scalar path's break test for that lane: its best/second are final.
+        // seed algorithm's break test for that lane: its best/second are final.
         if (keysValid_ && ci + 1 < kCount &&
             ((ci % kRetireInterval) == kRetireInterval - 1 || ci + 2 == kCount)) {
             const double nextKey =
@@ -398,46 +389,6 @@ void AssignEngine<D>::batchKernel(Scratch& scratch, std::size_t m) {
         }
     }
     for (std::size_t j = 0; j < live; ++j) materialize(j);
-}
-
-/// The seed implementation's inner loop, verbatim: per-candidate sqrt in
-/// the effective-distance domain with the per-point pruning break.
-template <int D>
-void AssignEngine<D>::assignPointReference(std::size_t s, const Point<D>& pt,
-                                           KMeansCounters& counters) {
-    const std::uint32_t cur = currentEpoch();
-    if (settings_.useKdTree) {
-        const auto q = tree_.query(pt);
-        assignment_[s] = q.best;
-        ub_[s] = q.bestDistance;
-        lb_[s] = q.secondDistance;
-        epoch_[s] = cur;
-        return;
-    }
-    double best = kInf, second = kInf;
-    std::int32_t bestC = -1;
-    for (std::size_t ci = 0; ci < sortedCenters_.size(); ++ci) {
-        const std::int32_t c = sortedCenters_[ci];
-        if (keysValid_ && centerKey_[static_cast<std::size_t>(c)] > second) {
-            counters.bboxBreaks++;
-            break;  // no remaining center can beat the second best
-        }
-        counters.distanceCalcs++;
-        const double eDist = distance(pt, centers_[static_cast<std::size_t>(c)]) /
-                             influence_[static_cast<std::size_t>(c)];
-        if (eDist < best) {
-            second = best;
-            best = eDist;
-            bestC = c;
-        } else if (eDist < second) {
-            second = eDist;
-        }
-    }
-    GEO_CHECK(bestC >= 0, "assignment found no center");
-    assignment_[s] = bestC;
-    ub_[s] = best;
-    lb_[s] = second;
-    epoch_[s] = cur;
 }
 
 template <int D>

@@ -2,8 +2,7 @@
 //
 // Every subsystem (one-shot partitioner, repart warm restarts, hier
 // per-node solves) funnels into the assignment sweep of Algorithm 1/2; this
-// engine owns that hot path. Five ideas; the first four are independently
-// toggleable through Settings:
+// engine owns that hot path. Five ideas:
 //
 //   1. Squared effective-distance domain. Candidates are compared as
 //      dist²(p,c) · (1/influence(c)²); x ↦ x² is monotone on non-negative
@@ -11,8 +10,8 @@
 //      unchanged while the per-candidate sqrt disappears. Only when a point
 //      is actually (re)assigned are its Hamerly bounds materialized — at
 //      most two sqrts per assigned point, computed with the exact same
-//      expression (`distance(p,c)/influence(c)`) the scalar reference path
-//      uses, so ub/lb stay bitwise identical between modes.
+//      expression (`distance(p,c)/influence(c)`) the seed algorithm uses,
+//      so ub/lb stay bitwise identical to it.
 //   2. Lazy epoch-based bounds. Influence adaptation and center movement no
 //      longer sweep all n points to relax ub/lb; they append one epoch
 //      (per-cluster ratio/shift + the min-ratio/max-shift scalars) to a log,
@@ -48,9 +47,9 @@
 //      them sequentially even under the sampled initialization's random
 //      order; takeAssignment() scatters them back to point ids once.
 //
-// Settings::referenceAssignment selects the scalar sqrt-domain kernel (the
-// seed implementation's per-candidate loop) as an equivalence oracle; the
-// suite in tests/test_kmeans.cpp proves fast == reference == seed exactly.
+// tests/test_kmeans.cpp embeds the seed implementation (scalar sqrt-domain
+// scan per candidate) as the equivalence oracle and proves the engine
+// reproduces it exactly at several thread counts.
 #pragma once
 
 #include <array>
@@ -150,7 +149,6 @@ private:
                       std::size_t block, Scratch& scratch, double* blockSizes);
     void batchKernel(Scratch& scratch, std::size_t m);
     void recordStoreCounters();
-    void assignPointReference(std::size_t s, const Point<D>& pt, KMeansCounters& counters);
     void applyEpochs(std::size_t s, KMeansCounters& counters);
     /// Lane i's coordinates as a point: the same doubles as the caller's.
     [[nodiscard]] static Point<D> gatheredPoint(const Scratch& scratch, std::size_t i) {

@@ -40,14 +40,13 @@ template <int D>
 std::int32_t CenterKdTree<D>::build(std::int32_t begin, std::int32_t end, int depth) {
     Node node;
     node.bounds = Box<D>::empty();
-    node.maxInfluence = 0.0;
+    double maxInfluence = 0.0;
     for (std::int32_t i = begin; i < end; ++i) {
         const auto c = order_[static_cast<std::size_t>(i)];
         node.bounds.extend(centers_[static_cast<std::size_t>(c)]);
-        node.maxInfluence =
-            std::max(node.maxInfluence, influence_[static_cast<std::size_t>(c)]);
+        maxInfluence = std::max(maxInfluence, influence_[static_cast<std::size_t>(c)]);
     }
-    node.invMaxInfluence2 = 1.0 / (node.maxInfluence * node.maxInfluence);
+    node.invMaxInfluence2 = 1.0 / (maxInfluence * maxInfluence);
     node.begin = begin;
     node.end = end;
 
@@ -71,49 +70,11 @@ std::int32_t CenterKdTree<D>::build(std::int32_t begin, std::int32_t end, int de
 }
 
 template <int D>
-void CenterKdTree<D>::search(std::int32_t nodeId, const Point<D>& p,
-                             QueryResult& out) const {
-    const Node& node = nodes_[static_cast<std::size_t>(nodeId)];
-    // Lower bound on any effective distance inside this subtree.
-    const double bound = node.bounds.minDistance(p) / node.maxInfluence;
-    if (bound >= out.secondDistance) return;
-
-    if (node.left < 0) {
-        for (std::int32_t i = node.begin; i < node.end; ++i) {
-            const auto c = order_[static_cast<std::size_t>(i)];
-            const double eff = distance(p, centers_[static_cast<std::size_t>(c)]) /
-                               influence_[static_cast<std::size_t>(c)];
-            if (eff < out.bestDistance) {
-                out.secondDistance = out.bestDistance;
-                out.bestDistance = eff;
-                out.best = c;
-            } else if (eff < out.secondDistance) {
-                out.secondDistance = eff;
-            }
-        }
-        return;
-    }
-    // Visit the child whose box is closer first (better pruning).
-    const auto& l = nodes_[static_cast<std::size_t>(node.left)];
-    const auto& r = nodes_[static_cast<std::size_t>(node.right)];
-    const double dl = l.bounds.minDistance(p) / l.maxInfluence;
-    const double dr = r.bounds.minDistance(p) / r.maxInfluence;
-    if (dl <= dr) {
-        search(node.left, p, out);
-        search(node.right, p, out);
-    } else {
-        search(node.right, p, out);
-        search(node.left, p, out);
-    }
-}
-
-template <int D>
 void CenterKdTree<D>::searchSquared(std::int32_t nodeId, const Point<D>& p,
                                     IdResult& out, double& best2,
                                     double& second2) const {
     const Node& node = nodes_[static_cast<std::size_t>(nodeId)];
-    // Squared-domain lower bound: minDist²/maxInfluence² — same pruning
-    // decision as the sqrt path up to rounding, conservative either way.
+    // Squared-domain lower bound on any effective distance² in this subtree.
     const double bound2 = node.bounds.minSquaredDistance(p) * node.invMaxInfluence2;
     if (bound2 >= second2) return;
 
@@ -145,16 +106,6 @@ void CenterKdTree<D>::searchSquared(std::int32_t nodeId, const Point<D>& p,
         searchSquared(node.right, p, out, best2, second2);
         searchSquared(node.left, p, out, best2, second2);
     }
-}
-
-template <int D>
-typename CenterKdTree<D>::QueryResult CenterKdTree<D>::query(const Point<D>& p) const {
-    QueryResult out;
-    out.bestDistance = kInf;
-    out.secondDistance = kInf;
-    search(root_, p, out);
-    GEO_CHECK(out.best >= 0, "kd-tree query found no center");
-    return out;
 }
 
 template <int D>

@@ -203,12 +203,12 @@ namespace detail {
 template <int D>
 void storeKMeansDiagnostics(par::Comm& comm, const KMeansOutcome<D>& outcome,
                             GeographerResult& result, std::mutex& resultMutex) {
-    std::array<std::uint64_t, 10> counterSum{
+    std::array<std::uint64_t, 9> counterSum{
         outcome.counters.pointEvaluations, outcome.counters.boundSkips,
         outcome.counters.distanceCalcs, outcome.counters.bboxBreaks,
         outcome.counters.balanceIterations, outcome.counters.epochBoundApplications,
-        outcome.counters.batchedDistanceCalcs, outcome.counters.keyedPoints,
-        outcome.counters.sortedRecords, outcome.counters.spilledTiles};
+        outcome.counters.keyedPoints, outcome.counters.sortedRecords,
+        outcome.counters.spilledTiles};
     comm.allreduceSum(std::span<std::uint64_t>(counterSum.data(), counterSum.size()));
     // Memory counters describe one rank's tile store, so the cross-rank
     // reduction is a max (the worst store), not a sum.
@@ -226,10 +226,9 @@ void storeKMeansDiagnostics(par::Comm& comm, const KMeansOutcome<D>& outcome,
     result.counters.bboxBreaks = counterSum[3];
     result.counters.balanceIterations = counterSum[4];
     result.counters.epochBoundApplications = counterSum[5];
-    result.counters.batchedDistanceCalcs = counterSum[6];
-    result.counters.keyedPoints = counterSum[7];
-    result.counters.sortedRecords = counterSum[8];
-    result.counters.spilledTiles = counterSum[9];
+    result.counters.keyedPoints = counterSum[6];
+    result.counters.sortedRecords = counterSum[7];
+    result.counters.spilledTiles = counterSum[8];
     result.counters.peakTileBytes = counterMax[0];
     result.counters.residentBytes = counterMax[1];
     result.counters.outerIterations = outcome.counters.outerIterations;
@@ -267,7 +266,6 @@ void replicateResult(par::Comm& comm, GeographerResult& result,
             w.u64(result.counters.bboxBreaks);
             w.u64(result.counters.balanceIterations);
             w.u64(result.counters.epochBoundApplications);
-            w.u64(result.counters.batchedDistanceCalcs);
             w.u64(result.counters.keyedPoints);
             w.u64(result.counters.sortedRecords);
             w.u64(result.counters.peakTileBytes);
@@ -311,7 +309,6 @@ void replicateResult(par::Comm& comm, GeographerResult& result,
     result.counters.bboxBreaks = r.u64();
     result.counters.balanceIterations = r.u64();
     result.counters.epochBoundApplications = r.u64();
-    result.counters.batchedDistanceCalcs = r.u64();
     result.counters.keyedPoints = r.u64();
     result.counters.sortedRecords = r.u64();
     result.counters.peakTileBytes = r.u64();

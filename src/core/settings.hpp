@@ -145,12 +145,6 @@ struct Settings {
         return support::envMemoryBudget();
     }
 
-    /// Equivalence mode: run the scalar sqrt-domain reference kernel (the
-    /// seed implementation's per-candidate loop) instead of the SoA
-    /// squared-domain batch kernel. Exists so tests and benches can prove the
-    /// fast engine reproduces the reference outcomes exactly.
-    bool referenceAssignment = false;
-
     /// RNG seed for the sampling permutation.
     std::uint64_t seed = 1;
 
@@ -178,7 +172,6 @@ struct KMeansCounters {
     std::uint64_t bboxBreaks = 0;        ///< inner loops cut short by bbox pruning
     std::uint64_t balanceIterations = 0; ///< total assign-and-balance sweeps
     std::uint64_t epochBoundApplications = 0;  ///< lazy Hamerly epochs applied on touch
-    std::uint64_t batchedDistanceCalcs = 0;    ///< distances evaluated by the SoA batch kernel
     std::uint64_t keyedPoints = 0;       ///< points run through SFC keying (phase 1)
     std::uint64_t sortedRecords = 0;     ///< records owned after the global sort (phase 2)
     std::uint64_t peakTileBytes = 0;     ///< high-water tile-storage bytes (PointStore)
@@ -199,7 +192,6 @@ struct KMeansCounters {
         bboxBreaks += o.bboxBreaks;
         balanceIterations += o.balanceIterations;
         epochBoundApplications += o.epochBoundApplications;
-        batchedDistanceCalcs += o.batchedDistanceCalcs;
         keyedPoints += o.keyedPoints;
         sortedRecords += o.sortedRecords;
         // Memory counters: peaks/resident take the max (they describe one

@@ -27,25 +27,39 @@ std::vector<Point<D>> randomPoints(int n, std::uint64_t seed) {
 class TreeSweep : public ::testing::TestWithParam<int> {};
 INSTANTIATE_TEST_SUITE_P(CenterCounts, TreeSweep, ::testing::Values(1, 2, 5, 16, 64, 257));
 
+/// Brute-force best and second-best center ids by effective distance
+/// (second = -1 for a single center).
+template <int D>
+typename CenterKdTree<D>::IdResult bruteForceIds(const Point<D>& q,
+                                        const std::vector<Point<D>>& centers,
+                                        const std::vector<double>& influence) {
+    typename CenterKdTree<D>::IdResult out;
+    double best = std::numeric_limits<double>::infinity(), second = best;
+    for (std::size_t c = 0; c < centers.size(); ++c) {
+        const double d = distance(q, centers[c]) / influence[c];
+        if (d < best) {
+            second = best;
+            out.second = out.best;
+            best = d;
+            out.best = static_cast<std::int32_t>(c);
+        } else if (d < second) {
+            second = d;
+            out.second = static_cast<std::int32_t>(c);
+        }
+    }
+    return out;
+}
+
 TEST_P(TreeSweep, MatchesBruteForceWithUniformInfluence) {
     const int k = GetParam();
     const auto centers = randomPoints<2>(k, 11);
     const std::vector<double> influence(static_cast<std::size_t>(k), 1.0);
     const CenterKdTree<2> tree(centers, influence);
-    const auto queries = randomPoints<2>(300, 13);
-    for (const auto& q : queries) {
-        const auto res = tree.query(q);
-        double best = std::numeric_limits<double>::infinity();
-        std::int32_t bestIdx = -1;
-        for (std::size_t c = 0; c < centers.size(); ++c) {
-            const double d = distance(q, centers[c]);
-            if (d < best) {
-                best = d;
-                bestIdx = static_cast<std::int32_t>(c);
-            }
-        }
-        EXPECT_EQ(res.best, bestIdx);
-        EXPECT_NEAR(res.bestDistance, best, 1e-12);
+    for (const auto& q : randomPoints<2>(300, 13)) {
+        const auto res = tree.queryNearestIds(q);
+        const auto want = bruteForceIds(q, centers, influence);
+        EXPECT_EQ(res.best, want.best);
+        EXPECT_EQ(res.second, want.second);
     }
 }
 
@@ -56,24 +70,11 @@ TEST_P(TreeSweep, MatchesBruteForceWithVariedInfluence) {
     std::vector<double> influence;
     for (int c = 0; c < k; ++c) influence.push_back(rng.uniform(0.25, 4.0));
     const CenterKdTree<2> tree(centers, influence);
-    const auto queries = randomPoints<2>(300, 23);
-    for (const auto& q : queries) {
-        const auto res = tree.query(q);
-        double best = std::numeric_limits<double>::infinity(), second = best;
-        std::int32_t bestIdx = -1;
-        for (std::size_t c = 0; c < centers.size(); ++c) {
-            const double d = distance(q, centers[c]) / influence[c];
-            if (d < best) {
-                second = best;
-                best = d;
-                bestIdx = static_cast<std::int32_t>(c);
-            } else if (d < second) {
-                second = d;
-            }
-        }
-        EXPECT_EQ(res.best, bestIdx);
-        EXPECT_NEAR(res.bestDistance, best, 1e-12);
-        if (k > 1) EXPECT_NEAR(res.secondDistance, second, 1e-12);
+    for (const auto& q : randomPoints<2>(300, 23)) {
+        const auto res = tree.queryNearestIds(q);
+        const auto want = bruteForceIds(q, centers, influence);
+        EXPECT_EQ(res.best, want.best);
+        EXPECT_EQ(res.second, want.second);
     }
 }
 
@@ -84,17 +85,10 @@ TEST(CenterKdTree, WorksIn3d) {
     for (int c = 0; c < 40; ++c) influence.push_back(rng.uniform(0.5, 2.0));
     const CenterKdTree<3> tree(centers, influence);
     for (const auto& q : randomPoints<3>(100, 37)) {
-        const auto res = tree.query(q);
-        double best = std::numeric_limits<double>::infinity();
-        std::int32_t bestIdx = -1;
-        for (std::size_t c = 0; c < centers.size(); ++c) {
-            const double d = distance(q, centers[c]) / influence[c];
-            if (d < best) {
-                best = d;
-                bestIdx = static_cast<std::int32_t>(c);
-            }
-        }
-        EXPECT_EQ(res.best, bestIdx);
+        const auto res = tree.queryNearestIds(q);
+        const auto want = bruteForceIds(q, centers, influence);
+        EXPECT_EQ(res.best, want.best);
+        EXPECT_EQ(res.second, want.second);
     }
 }
 
@@ -105,24 +99,6 @@ TEST(CenterKdTree, RejectsBadInput) {
     const auto centers = randomPoints<2>(3, 41);
     const std::vector<double> wrong(2, 1.0);
     EXPECT_THROW(CenterKdTree<2>(centers, wrong), std::invalid_argument);
-}
-
-TEST_P(TreeSweep, SquaredDomainQueryReturnsSameIds) {
-    // queryNearestIds computes and prunes in the squared effective-distance
-    // domain; squaring is monotone, so it must find the same best (and,
-    // where defined, second-best) center as the sqrt-domain query.
-    const int k = GetParam();
-    const auto centers = randomPoints<2>(k, 53);
-    Xoshiro256 rng(59);
-    std::vector<double> influence;
-    for (int c = 0; c < k; ++c) influence.push_back(rng.uniform(0.25, 4.0));
-    const CenterKdTree<2> tree(centers, influence);
-    for (const auto& q : randomPoints<2>(300, 61)) {
-        const auto sqrtRes = tree.query(q);
-        const auto ids = tree.queryNearestIds(q);
-        EXPECT_EQ(ids.best, sqrtRes.best);
-        if (k == 1) EXPECT_EQ(ids.second, -1);
-    }
 }
 
 TEST(CenterKdTree, RebuildInPlaceMatchesFreshTree) {
@@ -138,11 +114,10 @@ TEST(CenterKdTree, RebuildInPlaceMatchesFreshTree) {
     const CenterKdTree<2> fresh(second, infSecond);
     EXPECT_EQ(reused.size(), 25);
     for (const auto& q : randomPoints<2>(200, 79)) {
-        const auto a = reused.query(q);
-        const auto b = fresh.query(q);
+        const auto a = reused.queryNearestIds(q);
+        const auto b = fresh.queryNearestIds(q);
         EXPECT_EQ(a.best, b.best);
-        EXPECT_EQ(a.bestDistance, b.bestDistance);
-        EXPECT_EQ(a.secondDistance, b.secondDistance);
+        EXPECT_EQ(a.second, b.second);
     }
 }
 
@@ -167,27 +142,29 @@ TEST(KMeansWithKdTree, SameResultAsLinearScan) {
     EXPECT_EQ(a, b);
 }
 
-TEST(KMeansWithKdTree, FastEngineMatchesReferenceOnKdTreePath) {
-    // The engine's kd-tree path queries in the squared domain and
-    // materializes the Hamerly bounds itself; it must reproduce the
-    // reference (sqrt-domain query) outcome exactly, bounds enabled.
+TEST(KMeansWithKdTree, KdTreeWithBoundsMatchesLinearScanWithBounds) {
+    // The engine's kd-tree path materializes the Hamerly bounds from the
+    // best/second ids with the same expression as the linear scan, so with
+    // bounds (and, on the scan, bbox pruning) enabled a whole run must take
+    // the same trajectory and end in the same assignment.
     const auto pts = randomPoints<2>(3000, 83);
     Xoshiro256 rng(89);
     std::vector<Point2> centers;
     for (int c = 0; c < 10; ++c) centers.push_back(Point2{{rng.uniform(), rng.uniform()}});
-    core::Settings reference, fast;
-    reference.useKdTree = fast.useKdTree = true;
-    reference.referenceAssignment = true;
-    fast.referenceAssignment = false;
-    fast.threads = 2;
-    std::vector<std::int32_t> a, b;
+    core::Settings scan, tree;
+    tree.useKdTree = true;
+    tree.threads = 2;
+    core::KMeansOutcome<2> a, b;
     par::runSpmd(1, [&](par::Comm& comm) {
-        a = core::balancedKMeans<2>(comm, pts, {}, centers, reference).assignment;
+        a = core::balancedKMeans<2>(comm, pts, {}, centers, scan);
     });
     par::runSpmd(1, [&](par::Comm& comm) {
-        b = core::balancedKMeans<2>(comm, pts, {}, centers, fast).assignment;
+        b = core::balancedKMeans<2>(comm, pts, {}, centers, tree);
     });
-    EXPECT_EQ(a, b);
+    EXPECT_EQ(a.assignment, b.assignment);
+    EXPECT_EQ(a.influence, b.influence);
+    EXPECT_EQ(a.counters.balanceIterations, b.counters.balanceIterations);
+    EXPECT_GT(b.counters.boundSkips, 0u);
 }
 
 }  // namespace

@@ -81,12 +81,12 @@ TEST(ParseMemBytes, PlainAndSuffixedValues) {
 }
 
 TEST(ParseMemBytes, RejectsGarbageAndOverflow) {
-    EXPECT_THROW(parseMemBytes(""), std::invalid_argument);
-    EXPECT_THROW(parseMemBytes("abc"), std::invalid_argument);
-    EXPECT_THROW(parseMemBytes("12x"), std::invalid_argument);
-    EXPECT_THROW(parseMemBytes("-5"), std::invalid_argument);
-    EXPECT_THROW(parseMemBytes("k"), std::invalid_argument);
-    EXPECT_THROW(parseMemBytes("99999999999999999999g"), std::invalid_argument);
+    EXPECT_THROW((void)parseMemBytes(""), std::invalid_argument);
+    EXPECT_THROW((void)parseMemBytes("abc"), std::invalid_argument);
+    EXPECT_THROW((void)parseMemBytes("12x"), std::invalid_argument);
+    EXPECT_THROW((void)parseMemBytes("-5"), std::invalid_argument);
+    EXPECT_THROW((void)parseMemBytes("k"), std::invalid_argument);
+    EXPECT_THROW((void)parseMemBytes("99999999999999999999g"), std::invalid_argument);
 }
 
 TEST(MemoryBudget, SettingsFieldWinsOverEnvironment) {
@@ -106,7 +106,7 @@ TEST(MemoryBudget, UnsetEnvironmentMeansUnlimited) {
 TEST(MemoryBudget, UnparseableEnvironmentThrows) {
     const ScopedBudgetEnv env("lots");
     Settings s;
-    EXPECT_THROW(s.resolvedMemoryBudget(), std::invalid_argument);
+    EXPECT_THROW((void)s.resolvedMemoryBudget(), std::invalid_argument);
     // Deliberately uncached: fixing the variable fixes the resolution.
     setenv("GEO_MEM_BUDGET", "8k", 1);
     EXPECT_EQ(s.resolvedMemoryBudget(), 8192u);

@@ -14,6 +14,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -411,48 +412,16 @@ TEST(ServeSnapshot, FromStateServesCarriedWarmStartState) {
     }
 }
 
-TEST(ServeSnapshot, CompactCentersRouteIdenticallyToFp64) {
-    const auto mesh = geo::gen::delaunay2d(6000, 251);
-    const auto weights = fractionalWeights(mesh.points.size(), 252);
-    const std::int32_t k = 24;
-    Settings settings;
-    const auto res =
-        geo::core::partitionGeographer<2>(mesh.points, weights, k, 1, settings);
-
-    SnapshotOptions compactOptions;
-    compactOptions.compactCenters = true;
-    const auto compact = PartitionSnapshot<2>::fromResult(res, 1, 0, compactOptions);
-    EXPECT_TRUE(compact.usesCompactCenters());
-    EXPECT_FALSE(compact.usesKdTree());
-
-    // The exactness guard's whole point: routes equal the fp64 path (and
-    // hence the run's own partition) bit for bit, fallbacks or not.
-    expectRoutesMatch<2>(compact, mesh.points, res.partition, "compact2d");
-
-    // Compact overrides the kd-tree even past its threshold — the hot path
-    // must stay the guarded fp32 scan.
-    SnapshotOptions both;
-    both.compactCenters = true;
-    both.kdTreeFromK = 1;
-    const auto compactOverTree = PartitionSnapshot<2>::fromResult(res, 1, 0, both);
-    EXPECT_TRUE(compactOverTree.usesCompactCenters());
-    EXPECT_FALSE(compactOverTree.usesKdTree());
-    expectRoutesMatch<2>(compactOverTree, mesh.points, res.partition, "compact>tree");
-}
-
-TEST(ServeSnapshot, CompactGuardCatchesNearTiesAndDuplicates) {
-    // Two duplicated centers plus one distinct: every query near the
-    // duplicates produces an exact fp32 tie, which must fall back to the
-    // fp64 scan and resolve to the LOWER id — the fp64 tie rule.
+TEST(ServeSnapshot, DuplicateCentersTieToLowestId) {
+    // Centers 0 and 1 coincide, so every query ties exactly between them.
+    // The linear-scan kernels keep the first strict minimum: block 1 can
+    // never win, and the batched and single-point paths must agree.
     const std::vector<Point2> centers{Point2{{0.25, 0.5}}, Point2{{0.25, 0.5}},
                                       Point2{{0.75, 0.5}}};
     const std::vector<double> influence(3, 1.0);
-    SnapshotOptions options;
-    options.compactCenters = true;
-    const auto compact = PartitionSnapshot<2>::fromCenters(
-        std::span<const Point2>(centers), influence, 1, 0, options);
-    const auto exact = PartitionSnapshot<2>::fromCenters(
-        std::span<const Point2>(centers), influence, 1, 0, {});
+    const auto snap = PartitionSnapshot<2>::fromCenters(std::span<const Point2>(centers),
+                                                        influence);
+    ASSERT_FALSE(snap.usesKdTree());
 
     Xoshiro256 rng(257);
     std::vector<Point2> queries(4096);
@@ -460,64 +429,75 @@ TEST(ServeSnapshot, CompactGuardCatchesNearTiesAndDuplicates) {
         q[0] = rng.uniform();
         q[1] = rng.uniform();
     }
-    // Points squarely on the bisector x = 0.5 between distinct centers too.
-    for (int i = 0; i < 64; ++i)
-        queries.push_back(Point2{{0.5, static_cast<double>(i) / 64.0}});
-
-    std::vector<std::int32_t> gotCompact(queries.size(), -1);
-    std::vector<std::int32_t> gotExact(queries.size(), -2);
-    compact.blockOf(queries, gotCompact);
-    exact.blockOf(queries, gotExact);
-    EXPECT_EQ(gotCompact, gotExact);
-    for (const auto b : gotCompact) EXPECT_NE(b, 1);  // ties -> lowest id
-    // Duplicate centers tie in fp32 for every left-half query; the guard
-    // must have routed plenty of lanes through the fp64 fallback.
-    EXPECT_GT(compact.compactFallbacks(), 0u);
+    std::vector<std::int32_t> batched(queries.size(), -1);
+    snap.blockOf(queries, batched);
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+        EXPECT_NE(batched[i], 1) << "query " << i;
+        EXPECT_EQ(batched[i], snap.blockOf(queries[i])) << "query " << i;
+    }
 }
 
-TEST(ServeSnapshot, CompactRebuildsOnLoadAndStaysExact) {
-    const auto mesh = geo::gen::delaunay2d(3000, 263);
-    Settings settings;
-    const auto res = geo::core::partitionGeographer<2>(mesh.points, {}, 16, 1, settings);
-    const auto snap = PartitionSnapshot<2>::fromResult(res, 3);
-
-    // The on-disk format carries fp64 only; load() with compact options
-    // rebuilds the fp32 mirrors in finalize.
-    std::stringstream stream(std::ios::in | std::ios::out | std::ios::binary);
-    snap.save(stream);
-    SnapshotOptions options;
-    options.compactCenters = true;
-    const auto loaded = PartitionSnapshot<2>::load(stream, options);
-    EXPECT_TRUE(loaded.usesCompactCenters());
-    expectRoutesMatch<2>(loaded, mesh.points, res.partition, "loaded compact");
+/// Replace the single occurrence of `from`'s bytes in `bytes` with `to`.
+void patchDouble(std::string& bytes, double from, double to) {
+    const std::string pattern(reinterpret_cast<const char*>(&from), sizeof(double));
+    const auto at = bytes.find(pattern);
+    ASSERT_NE(at, std::string::npos);
+    ASSERT_EQ(bytes.find(pattern, at + 1), std::string::npos);
+    bytes.replace(at, sizeof(double), reinterpret_cast<const char*>(&to), sizeof(double));
 }
 
-TEST(ServeSnapshot, CompactIgnoredForHierarchicalSnapshots) {
-    const auto mesh = geo::gen::delaunay2d(2000, 269);
-    Settings settings;
-    const auto topo =
-        geo::hier::Topology::fromBranching(std::array<std::int32_t, 2>{2, 3});
-    const auto hres =
-        geo::hier::partitionHierarchical<2>(mesh.points, {}, topo, 1, settings);
-    SnapshotOptions options;
-    options.compactCenters = true;
-    const auto hsnap = PartitionSnapshot<2>::fromHierResult(hres, topo, 1, 0, options);
-    EXPECT_FALSE(hsnap.usesCompactCenters());
-    expectRoutesMatch<2>(hsnap, mesh.points, hres.partition, "hier compact-off");
-}
+TEST(ServeSnapshot, LoadRejectsNonFiniteValues) {
+    // Streams that are structurally valid but carry a non-finite value: an
+    // infinite influence would win every query, a NaN coordinate poisons
+    // every comparison (and, at k >= kdTreeFromK, the kd-tree build).
+    // Each marker value occurs once in its stream, so patching it is
+    // independent of the byte layout.
+    constexpr double kInfluenceMarker = 1.2345678;
+    constexpr double kCoordMarker = 0.3456789;
+    const auto savedStream = [&](std::int32_t k) {
+        Xoshiro256 rng(static_cast<std::uint64_t>(k));
+        std::vector<Point2> centers(static_cast<std::size_t>(k));
+        for (auto& c : centers) c = Point2{{rng.uniform(), rng.uniform()}};
+        std::vector<double> influence(centers.size(), 1.0);
+        centers[2][1] = kCoordMarker;
+        influence[1] = kInfluenceMarker;
+        const auto snap = PartitionSnapshot<2>::fromCenters(
+            std::span<const Point2>(centers), influence, 3);
+        std::ostringstream out(std::ios::binary);
+        snap.save(out);
+        return out.str();
+    };
+    const auto load = [](const std::string& bytes) {
+        std::istringstream in(bytes, std::ios::binary);
+        return PartitionSnapshot<2>::load(in);
+    };
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
-TEST(ServeSnapshot, CompactCenters3d) {
-    Xoshiro256 rng(271);
-    std::vector<Point3> points(3000);
-    for (auto& p : points)
-        for (int d = 0; d < 3; ++d) p[d] = rng.uniform();
-    Settings settings;
-    const auto res = geo::core::partitionGeographer<3>(points, {}, 10, 1, settings);
-    SnapshotOptions options;
-    options.compactCenters = true;
-    const auto compact = PartitionSnapshot<3>::fromResult(res, 1, 0, options);
-    EXPECT_TRUE(compact.usesCompactCenters());
-    expectRoutesMatch<3>(compact, points, res.partition, "compact3d");
+    for (const std::int32_t k : {4, 200}) {
+        const std::string clean = savedStream(k);
+        EXPECT_EQ(load(clean).blockCount(), k);
+        for (const double bad : {kInf, -kInf, kNaN}) {
+            std::string influenceBad = clean;
+            patchDouble(influenceBad, kInfluenceMarker, bad);
+            EXPECT_THROW((void)load(influenceBad), std::invalid_argument)
+                << "k=" << k << " influence " << bad;
+            std::string coordBad = clean;
+            patchDouble(coordBad, kCoordMarker, bad);
+            EXPECT_THROW((void)load(coordBad), std::invalid_argument)
+                << "k=" << k << " coordinate " << bad;
+        }
+    }
+
+    // The builders share the check.
+    const std::vector<Point2> centers{Point2{{0.25, 0.5}}, Point2{{0.75, 0.5}}};
+    EXPECT_THROW((void)PartitionSnapshot<2>::fromCenters(std::span<const Point2>(centers),
+                                                         std::vector<double>{1.0, kInf}),
+                 std::invalid_argument);
+    const std::vector<Point2> nanCenter{Point2{{0.25, kNaN}}, Point2{{0.75, 0.5}}};
+    EXPECT_THROW((void)PartitionSnapshot<2>::fromCenters(
+                     std::span<const Point2>(nanCenter), std::vector<double>{1.0, 1.0}),
+                 std::invalid_argument);
 }
 
 }  // namespace
