@@ -11,14 +11,11 @@
 // trajectory; optional first positional argument overrides the scaling
 // instance size (default 1M points — the acceptance configuration).
 //
-// Memory budgeting: `--mem-budget BYTES` (suffixes k/m/g accepted) caps the
-// point pipeline's tile storage via Settings::memoryBudgetBytes — the
-// chunked PointStore path, bitwise identical to the resident path.
-// `--assert-rss BYTES` makes the binary exit non-zero if the process peak
-// RSS ends above the cap (the CI bench-smoke guard). After the scaling rows
-// the final run's diagram is frozen into a PartitionSnapshot and every
-// input point routed back through the serving layer, so a budgeted run
-// covers the whole partition+serve pipeline under one RSS cap.
+// `--assert-rss BYTES` (suffixes k/m/g accepted) makes the binary exit
+// non-zero if the process peak RSS ends above the cap (the CI bench-smoke
+// guard). After the scaling rows the final run's diagram is frozen into a
+// PartitionSnapshot and every input point routed back through the serving
+// layer, so the cap covers the whole partition+serve pipeline.
 //
 // Checkpoint/restart: `--checkpoint PATH` records which thread-scaling row
 // completed last (the rows are this bench's long pole); `--resume PATH`
@@ -27,6 +24,7 @@
 // the interrupted run's. When every row already completed, the last row is
 // re-run — the serve stage needs its result.
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -54,13 +52,11 @@ struct ScalingRow {
     double total = 0.0;    ///< pipeline + metrics wall time
     std::uint64_t keyedPoints = 0;
     std::uint64_t sortedRecords = 0;
-    std::uint64_t peakTileBytes = 0;  ///< engine point-store high-water mark
-    std::uint64_t residentBytes = 0;  ///< tile bytes live at the end
-    std::uint64_t spilledTiles = 0;   ///< tile refills beyond the first fill
+    std::uint64_t peakTileBytes = 0;  ///< engine point-mirror bytes
 };
 
 void writeJson(const std::string& path, std::int64_t n, std::int32_t k,
-               geo::par::TransportKind transport, std::uint64_t memBudget,
+               geo::par::TransportKind transport,
                double serveSeconds, std::int64_t servedPoints,
                const std::vector<ScalingRow>& rows) {
     std::ofstream out(path);
@@ -73,7 +69,6 @@ void writeJson(const std::string& path, std::int64_t n, std::int32_t k,
         << "  \"n\": " << n << ",\n  \"k\": " << k << ",\n  \"ranks\": 1,\n"
         << "  \"transport\": \"" << geo::bench::resolvedTransportName(transport)
         << "\",\n  \"processes\": " << geo::bench::workerProcesses() << ",\n"
-        << "  \"mem_budget_bytes\": " << memBudget << ",\n"
         << "  \"serve_s\": " << serveSeconds << ",\n"
         << "  \"served_points\": " << servedPoints << ",\n";
     geo::bench::writePeakRssField(out);
@@ -86,9 +81,7 @@ void writeJson(const std::string& path, std::int64_t n, std::int32_t k,
             << ", \"metrics_s\": " << r.metrics << ", \"total_s\": " << r.total
             << ", \"keyedPoints\": " << r.keyedPoints
             << ", \"sortedRecords\": " << r.sortedRecords
-            << ", \"peakTileBytes\": " << r.peakTileBytes
-            << ", \"residentBytes\": " << r.residentBytes
-            << ", \"spilledTiles\": " << r.spilledTiles << "}"
+            << ", \"peakTileBytes\": " << r.peakTileBytes << "}"
             << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";
@@ -102,12 +95,11 @@ int main(int argc, char** argv) {
     std::int64_t scalingN = 1'000'000;
     std::string jsonPath;
     par::TransportKind transport = par::TransportKind::Auto;
-    std::uint64_t memBudget = 0;
     std::uint64_t assertRss = 0;
     std::string checkpointPath, resumePath;
     const char* usage =
-        " [scaling-n] [--transport sim|socket|tcp] [--mem-budget BYTES]"
-        " [--assert-rss BYTES] [--json PATH] [--checkpoint PATH] [--resume PATH]\n";
+        " [scaling-n] [--transport sim|socket|tcp] [--assert-rss BYTES]"
+        " [--json PATH] [--checkpoint PATH] [--resume PATH]\n";
     for (int a = 1; a < argc; ++a) {
         const std::string arg = argv[a];
         if (arg == "--json") {
@@ -134,14 +126,13 @@ int main(int argc, char** argv) {
                 return 1;
             }
             transport = par::parseTransportKind(argv[++a]);
-        } else if (arg == "--mem-budget" || arg == "--assert-rss") {
+        } else if (arg == "--assert-rss") {
             if (a + 1 >= argc) {
                 std::cerr << arg << " requires a byte count\nusage: " << argv[0] << usage;
                 return 1;
             }
             try {
-                (arg == "--mem-budget" ? memBudget : assertRss) =
-                    support::parseMemBytes(argv[++a]);
+                assertRss = support::parseMemBytes(argv[++a]);
             } catch (const std::exception& e) {
                 std::cerr << arg << ": " << e.what() << "\nusage: " << argv[0] << usage;
                 return 1;
@@ -189,7 +180,6 @@ int main(int argc, char** argv) {
     for (const int ranks : {1, 2, 4, 8, 16, 32}) {
         core::Settings settings;
         settings.transport = transport;
-        settings.memoryBudgetBytes = memBudget;
         const auto res = core::partitionGeographer<2>(mesh.points, {}, k, ranks, settings);
         const double h = res.phaseSeconds.at("hilbert");
         const double r = res.phaseSeconds.at("redistribute");
@@ -215,7 +205,7 @@ int main(int argc, char** argv) {
     std::vector<ScalingRow> rows;
     core::GeographerResult lastRes;
     Table scalingTable({"threads", "keying[s]", "sort[s]", "assign[s]", "update[s]",
-                        "metrics[s]", "total[s]", "peakTileMB", "spills"});
+                        "metrics[s]", "total[s]", "peakTileMB"});
     const int threadCounts[] = {1, 2, 4, 8};
     const std::size_t rowCount = std::size(threadCounts);
     // Resume skips completed rows; when all are complete, re-run the last
@@ -225,7 +215,6 @@ int main(int argc, char** argv) {
         const int threads = threadCounts[rowIdx];
         core::Settings settings;
         settings.transport = transport;
-        settings.memoryBudgetBytes = memBudget;
         settings.threads = threads;
         Timer whole;
         const auto res =
@@ -245,8 +234,6 @@ int main(int argc, char** argv) {
         row.keyedPoints = res.counters.keyedPoints;
         row.sortedRecords = res.counters.sortedRecords;
         row.peakTileBytes = res.counters.peakTileBytes;
-        row.residentBytes = res.counters.residentBytes;
-        row.spilledTiles = res.counters.spilledTiles;
         rows.push_back(row);
         if (threads == 8) lastRes = res;
         scalingTable.addRow(
@@ -254,8 +241,7 @@ int main(int argc, char** argv) {
              Table::num(row.sort, 3), Table::num(row.assign, 3),
              Table::num(row.update, 3), Table::num(row.metrics, 3),
              Table::num(row.total, 3),
-             Table::num(static_cast<double>(row.peakTileBytes) / (1024.0 * 1024.0), 2),
-             std::to_string(row.spilledTiles)});
+             Table::num(static_cast<double>(row.peakTileBytes) / (1024.0 * 1024.0), 4)});
         (void)m;
         if (!checkpointPath.empty() && bench::isRootProcess()) {
             core::CheckpointState ck;
@@ -272,7 +258,7 @@ int main(int argc, char** argv) {
     std::cout << "\nkeying+sort speedup (1 -> 8 threads): x"
               << Table::num(keySortSpeedup, 2)
               << "\nwhole-run wall-time reduction (1 -> 8 threads): "
-              << Table::num(wholeReduction, 1)
+              << std::lround(wholeReduction)
               << "%\n(results bitwise identical across rows; targets: >= 2x and >= 30% "
                  "on >= 8 hardware threads)\n";
 
@@ -305,17 +291,12 @@ int main(int argc, char** argv) {
               << " Mqps), all blocks verified against the producing run\n";
 
     const std::uint64_t peakRss = support::peakRssBytes();
-    std::cout << "\nmem budget: "
-              << (memBudget == 0 ? std::string("unlimited")
-                                 : std::to_string(memBudget) + " bytes")
-              << " | engine peak tile bytes: " << rows.back().peakTileBytes
-              << " | spilled tiles: " << rows.back().spilledTiles
+    std::cout << "\nengine point-mirror bytes: " << rows.back().peakTileBytes
               << " | process peak RSS: "
-              << Table::num(static_cast<double>(peakRss) / (1024.0 * 1024.0), 1)
-              << " MB\n";
+              << std::lround(static_cast<double>(peakRss) / (1024.0 * 1024.0)) << " MB\n";
 
     if (!jsonPath.empty() && bench::isRootProcess())
-        writeJson(jsonPath, scalingN, k, transport, memBudget, serveSeconds,
+        writeJson(jsonPath, scalingN, k, transport, serveSeconds,
                   static_cast<std::int64_t>(routed.size()), rows);
     if (assertRss > 0 && peakRss > assertRss) {
         std::cerr << "FAIL: peak RSS " << peakRss << " bytes exceeds --assert-rss "

@@ -18,14 +18,9 @@
 //
 //   ./bench_repart_timeline [points] [steps] [blocks] [ranks]
 //                           [--transport sim|socket|tcp]
-//                           [--mem-budget BYTES] [--json PATH]
+//                           [--json PATH]
 //                           [--checkpoint PATH] [--checkpoint-every K]
 //                           [--resume PATH]
-//
-// `--mem-budget BYTES` (k/m/g suffixes accepted) caps the assignment
-// engine's tile storage via Settings::memoryBudgetBytes; partitions are
-// bitwise unchanged (chunked-vs-resident contract), only the memory
-// counters and wall clock move.
 //
 // `--checkpoint PATH` saves the warm strategy's state (centers, influence)
 // plus the deterministic cursor (scenario index, step) every K completed
@@ -42,6 +37,7 @@
 // worker count, every process executes the loop in lockstep, and only
 // rank 0 prints tables or writes the JSON.
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -165,7 +161,7 @@ void writeStepJson(std::ostream& out, const char* name, const StepRecord& rec,
 /// BENCH_repart.json: the repartitioning bench trajectory, mirroring
 /// components_breakdown's BENCH_pipeline.json.
 void writeJson(const std::string& path, std::int64_t n, int steps, std::int32_t k,
-               int ranks, geo::par::TransportKind transport, std::uint64_t memBudget,
+               int ranks, geo::par::TransportKind transport,
                const std::vector<ScenarioTrace>& traces) {
     std::ofstream out(path);
     if (!out) {
@@ -176,8 +172,7 @@ void writeJson(const std::string& path, std::int64_t n, int steps, std::int32_t 
         << ",\n  \"steps\": " << steps << ",\n  \"k\": " << k
         << ",\n  \"ranks\": " << ranks << ",\n  \"transport\": \""
         << geo::bench::resolvedTransportName(transport) << "\",\n  \"processes\": "
-        << geo::bench::workerProcesses() << ",\n  \"mem_budget_bytes\": " << memBudget
-        << ",\n";
+        << geo::bench::workerProcesses() << ",\n";
     geo::bench::writePeakRssField(out);
     out << "  \"scenarios\": [\n";
     for (std::size_t s = 0; s < traces.size(); ++s) {
@@ -210,12 +205,11 @@ int main(int argc, char** argv) {
     int ranks = 4;
     std::string jsonPath;
     par::TransportKind transport = par::TransportKind::Auto;
-    std::uint64_t memBudget = 0;
     std::string checkpointPath, resumePath;
     int checkpointEvery = 1;
     const char* usage =
         " [points] [steps] [blocks] [ranks] [--transport sim|socket|tcp]"
-        " [--mem-budget BYTES] [--json PATH]"
+        " [--json PATH]"
         " [--checkpoint PATH] [--checkpoint-every K] [--resume PATH]\n";
     int positional = 0;
     for (int a = 1; a < argc; ++a) {
@@ -251,19 +245,6 @@ int main(int argc, char** argv) {
                 return 1;
             }
             transport = par::parseTransportKind(argv[++a]);
-        } else if (arg == "--mem-budget") {
-            if (a + 1 >= argc) {
-                std::cerr << "--mem-budget requires a byte count\nusage: " << argv[0]
-                          << usage;
-                return 1;
-            }
-            try {
-                memBudget = support::parseMemBytes(argv[++a]);
-            } catch (const std::exception& e) {
-                std::cerr << "--mem-budget: " << e.what() << "\nusage: " << argv[0]
-                          << usage;
-                return 1;
-            }
         } else if (!arg.empty() &&
                    arg.find_first_not_of("0123456789") == std::string::npos &&
                    positional < 4) {
@@ -288,7 +269,6 @@ int main(int argc, char** argv) {
     core::Settings settings;
     settings.epsilon = 0.03;
     settings.transport = transport;
-    settings.memoryBudgetBytes = memBudget;
 
     std::cout << "Dynamic repartitioning timeline: n=" << n << ", T=" << steps
               << ", k=" << k << ", ranks=" << ranks << "\n\n";
@@ -442,7 +422,8 @@ int main(int argc, char** argv) {
                                                       : std::string("-"),
                               std::to_string(rec.cut), Table::num(rec.imbalance, 4),
                               Table::num(rec.migratedFraction, 4),
-                              Table::num(static_cast<double>(rec.migratedBytes) / 1024.0, 1),
+                              std::to_string(std::llround(
+                                  static_cast<double>(rec.migratedBytes) / 1024.0)),
                               rec.misrouteFraction >= 0.0
                                   ? Table::num(rec.misrouteFraction, 4)
                                   : std::string("-")});
@@ -479,8 +460,7 @@ int main(int argc, char** argv) {
             std::cout << name << ": distCalcs=" << c.distanceCalcs
                       << " epochApps=" << c.epochBoundApplications << " skip%="
                       << Table::num(100.0 * c.skipFraction(), 3)
-                      << " peakTileKB=" << c.peakTileBytes / 1024
-                      << " spills=" << c.spilledTiles << '\n';
+                      << " peakTileKB=" << c.peakTileBytes / 1024 << '\n';
         };
         printCounters("engine counters repart ", warmHist.counters);
         printCounters("engine counters scratch", coldHist.counters);
@@ -529,14 +509,11 @@ int main(int argc, char** argv) {
                  "the serving-layer cost of repartitioning lag.\n";
 
     std::cout << "\nprocess peak RSS: "
-              << Table::num(static_cast<double>(support::peakRssBytes()) /
-                                (1024.0 * 1024.0), 1)
-              << " MB (mem budget: "
-              << (memBudget == 0 ? std::string("unlimited")
-                                 : std::to_string(memBudget) + " bytes")
-              << ")\n";
+              << std::lround(static_cast<double>(support::peakRssBytes()) /
+                             (1024.0 * 1024.0))
+              << " MB\n";
 
     if (!jsonPath.empty() && bench::isRootProcess())
-        writeJson(jsonPath, n, steps, k, ranks, transport, memBudget, traces);
+        writeJson(jsonPath, n, steps, k, ranks, transport, traces);
     return 0;
 }

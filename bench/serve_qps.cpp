@@ -10,7 +10,9 @@
 //   * batched  — Router::route(span): the cache-blocked squared-domain
 //                kernel, fanned over the router's worker threads.
 // Every batched/single result is verified against the engine's partition
-// before timing (the serving exactness contract).
+// before timing (the serving exactness contract). k=256 and k=512 straddle
+// PartitionSnapshot<2>::kKdTreeFromK: the first scans, the second descends
+// the center kd-tree.
 //
 // Acceptance (ISSUE 5): batched routing >= 3x the naive scan at n=1M,
 // k=64, single-thread. `--json PATH` writes BENCH_serve.json for the CI
@@ -133,7 +135,7 @@ int main(int argc, char** argv) {
     double naiveSecondsK64 = 0.0, batchedSecondsK64 = 0.0;
 
     Table table({"k", "mode", "threads", "batch", "kdTree", "seconds", "Mqps"});
-    for (const std::int32_t k : {16, 64, 256}) {
+    for (const std::int32_t k : {16, 64, 256, 512}) {
         core::Settings settings;
         const auto res = core::partitionGeographer<2>(points, {}, k, /*ranks=*/1, settings);
         const auto snap = serve::PartitionSnapshot<2>::fromResult(res, 1);

@@ -24,6 +24,7 @@
 // tripped (low-priority load shed, high-priority still served).
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -259,8 +260,10 @@ int main(int argc, char** argv) {
     Table table({"qps", "churn/s", "cadence", "batches", "p50 ms", "p99 ms",
                  "misroute", "stale s", "stale ev", "shed", "bp", "epochs", "state"});
     for (const auto& r : rows) {
-        table.addRow({Table::num(r.cell.qps, 0), Table::num(r.cell.churnEps, 0),
-                      Table::num(r.cell.cadenceMs, 0), std::to_string(r.servedBatches),
+        table.addRow({std::to_string(std::llround(r.cell.qps)),
+                      std::to_string(std::llround(r.cell.churnEps)),
+                      std::to_string(std::llround(r.cell.cadenceMs)),
+                      std::to_string(r.servedBatches),
                       Table::num(r.p50 * 1e3, 3), Table::num(r.p99 * 1e3, 3),
                       Table::num(r.misroute, 4), Table::num(r.stalenessSeconds, 3),
                       std::to_string(r.stalenessEvents), std::to_string(r.shed),

@@ -3,7 +3,9 @@
 // measuring convergence effort and data migration at every step.
 //
 //   ./repartition_demo [numPoints] [steps] [blocks] [ranks]
+#include <cmath>
 #include <cstdlib>
+#include <string>
 #include <iostream>
 
 #include "graph/metrics.hpp"
@@ -57,7 +59,7 @@ int main(int argc, char** argv) {
                                           : std::string("-"),
                       std::to_string(res.result.counters.outerIterations),
                       geo::Table::num(res.result.imbalance, 4),
-                      geo::Table::num(migrated, 4), geo::Table::num(migKb, 1),
+                      geo::Table::num(migrated, 4), std::to_string(std::llround(migKb)),
                       geo::Table::num(migMs, 3)});
 
         prevIds = step.ids;

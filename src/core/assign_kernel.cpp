@@ -22,11 +22,8 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// Points per cache block. Fixed (never derived from the thread count) so
 /// the per-block size partials — and with them every floating-point sum the
 /// sweep and the center update produce — are identical at any
-/// Settings::threads. Must equal the PointStore tile so wave boundaries
-/// always fall on block boundaries (the chunked-path bitwise guarantee).
+/// Settings::threads.
 constexpr std::size_t kAssignBlock = 1024;
-static_assert(kAssignBlock == PointStore<2>::kTilePoints &&
-              kAssignBlock == PointStore<3>::kTilePoints);
 
 }  // namespace
 
@@ -34,10 +31,10 @@ template <int D>
 AssignEngine<D>::AssignEngine(std::span<const Point<D>> points,
                               std::span<const double> weights,
                               const Settings& settings, std::int32_t k)
-    : settings_(settings),
-      k_(k),
-      store_(points, weights, settings.resolvedMemoryBudget()) {
+    : settings_(settings), k_(k), points_(points), weights_(weights) {
     GEO_REQUIRE(k_ >= 1, "need at least one center");
+    GEO_REQUIRE(weights_.empty() || weights_.size() == points_.size(),
+                "weights must be empty or match points");
     assignment_.assign(points.size(), -1);
     ub_.assign(points.size(), kInf);
     lb_.assign(points.size(), 0.0);
@@ -48,19 +45,44 @@ AssignEngine<D>::AssignEngine(std::span<const Point<D>> points,
 template <int D>
 void AssignEngine<D>::setActive(std::span<const std::size_t> order,
                                 std::size_t activeCount) {
-    store_.setActive(order, activeCount, settings_.resolvedThreads());
-    recordStoreCounters();
-}
+    GEO_REQUIRE(activeCount <= order.size() && activeCount <= points_.size(),
+                "active count exceeds available points");
+    if (orderFixed_) {
+        GEO_REQUIRE(order.data() == order_.data() && order.size() == order_.size(),
+                    "the active order is fixed by the first setActive");
+        GEO_REQUIRE(activeCount >= active_, "the active prefix only grows");
+    }
+    order_ = order;
+    orderFixed_ = true;
+    const std::size_t old = active_;
+    active_ = activeCount;
+    if (active_ == old) return;
 
-/// Surface the store's accounting through KMeansCounters. The store totals
-/// are cumulative over its lifetime, so they are assigned (peaks via max),
-/// not added — merge() across engines then maxes peaks and sums spills.
-template <int D>
-void AssignEngine<D>::recordStoreCounters() {
-    const auto& acc = store_.accounting();
-    counters_.peakTileBytes = std::max(counters_.peakTileBytes, acc.peakResidentBytes);
-    counters_.residentBytes = acc.residentBytes;
-    counters_.spilledTiles = acc.spilledTiles;
+    // Gather the new slots [old, active) into the mirror and extend the box
+    // by them: per-worker partial boxes merged serially. Box merge is exact
+    // coordinate min/max, so the result is bitwise the box of the whole
+    // prefix at any thread count.
+    for (auto& x : sx_) x.resize(active_);
+    sw_.resize(active_);
+    const int threads = settings_.resolvedThreads();
+    std::vector<Box<D>> partial(static_cast<std::size_t>(std::max(1, threads)),
+                                Box<D>::empty());
+    par::parallelFor(threads, active_ - old,
+                     [&](std::size_t i0, std::size_t i1, int worker) {
+                         Box<D> bb = Box<D>::empty();
+                         for (std::size_t s = old + i0; s < old + i1; ++s) {
+                             const std::size_t p = order_[s];
+                             const Point<D>& pt = points_[p];
+                             for (int d = 0; d < D; ++d)
+                                 sx_[static_cast<std::size_t>(d)][s] = pt[d];
+                             sw_[s] = weights_.empty() ? 1.0 : weights_[p];
+                             bb.extend(pt);
+                         }
+                         partial[static_cast<std::size_t>(worker)] = bb;
+                     });
+    for (const auto& bb : partial)
+        if (bb.valid()) box_.extend(bb);
+    counters_.peakTileBytes = (D + 1) * sizeof(double) * active_;
 }
 
 template <int D>
@@ -108,41 +130,31 @@ void AssignEngine<D>::sweep(std::span<double> localSizes) {
     GEO_REQUIRE(static_cast<std::int32_t>(localSizes.size()) == k_,
                 "localSizes must have one entry per cluster");
     std::fill(localSizes.begin(), localSizes.end(), 0.0);
-    const std::size_t active = store_.activeCount();
-    if (active == 0) return;
+    if (active_ == 0) return;
     GEO_CHECK(!centers_.empty(), "beginRound must precede sweep");
 
     const auto stride = static_cast<std::size_t>(k_);
-    const std::size_t waveBlocks =
-        (std::min(store_.wavePoints(), active) + kAssignBlock - 1) / kAssignBlock;
-    blockSizes_.resize(waveBlocks * stride);
+    const std::size_t blocks = (active_ + kAssignBlock - 1) / kAssignBlock;
+    blockSizes_.resize(blocks * stride);
     const int threads = settings_.resolvedThreads();
     if (scratch_.size() < static_cast<std::size_t>(threads))
         scratch_.resize(static_cast<std::size_t>(threads));
 
-    // Waves in ascending order, each wave's blocks in parallel; folding the
-    // per-block partials wave-by-wave in ascending block order is the same
-    // left fold the resident single-wave path performs, so localSizes is
-    // bitwise identical at every budget and thread count.
-    for (std::size_t w = 0; w < store_.waveCount(); ++w) {
-        const auto wave = store_.wave(w, threads);
-        const std::size_t blocks = (wave.count + kAssignBlock - 1) / kAssignBlock;
-        par::parallelFor(threads, blocks,
-                         [&](std::size_t b0, std::size_t b1, int worker) {
-                             auto& scratch = scratch_[static_cast<std::size_t>(worker)];
-                             for (std::size_t b = b0; b < b1; ++b)
-                                 processBlock(wave, b, scratch, &blockSizes_[b * stride]);
-                         });
-        for (std::size_t b = 0; b < blocks; ++b)
-            for (std::size_t c = 0; c < stride; ++c)
-                localSizes[c] += blockSizes_[b * stride + c];
-    }
+    par::parallelFor(threads, blocks, [&](std::size_t b0, std::size_t b1, int worker) {
+        auto& scratch = scratch_[static_cast<std::size_t>(worker)];
+        for (std::size_t b = b0; b < b1; ++b)
+            processBlock(b, scratch, &blockSizes_[b * stride]);
+    });
+    // Fold the per-block partials in ascending block order: bitwise
+    // identical at every thread count.
+    for (std::size_t b = 0; b < blocks; ++b)
+        for (std::size_t c = 0; c < stride; ++c)
+            localSizes[c] += blockSizes_[b * stride + c];
     // Counter merges are integer sums — order-independent.
     for (auto& scratch : scratch_) {
         counters_.merge(scratch.counters);
         scratch.counters = KMeansCounters{};
     }
-    recordStoreCounters();
 }
 
 template <int D>
@@ -150,54 +162,41 @@ void AssignEngine<D>::updateCenters(std::span<double> sums) {
     const auto stride = static_cast<std::size_t>(k_) * (D + 1);
     GEO_REQUIRE(sums.size() == stride, "sums must be k*(D+1) wide");
     std::fill(sums.begin(), sums.end(), 0.0);
-    const std::size_t active = store_.activeCount();
-    if (active == 0) return;
+    if (active_ == 0) return;
 
-    const std::size_t waveBlocks =
-        (std::min(store_.wavePoints(), active) + kAssignBlock - 1) / kAssignBlock;
-    blockSums_.resize(waveBlocks * stride);
-    const int threads = settings_.resolvedThreads();
-    // Same wave-then-block left fold as sweep(): bitwise identical at every
-    // budget and thread count.
-    for (std::size_t w = 0; w < store_.waveCount(); ++w) {
-        const auto wave = store_.wave(w, threads);
-        const std::size_t blocks = (wave.count + kAssignBlock - 1) / kAssignBlock;
-        par::parallelFor(
-            threads, blocks, [&](std::size_t b0, std::size_t b1, int) {
-                for (std::size_t b = b0; b < b1; ++b) {
-                    double* partial = &blockSums_[b * stride];
-                    std::fill(partial, partial + stride, 0.0);
-                    const std::size_t j0 = b * kAssignBlock;
-                    const std::size_t j1 = std::min(wave.count, j0 + kAssignBlock);
-                    for (std::size_t j = j0; j < j1; ++j) {
-                        const auto c =
-                            static_cast<std::size_t>(assignment_[wave.begin + j]);
-                        const double weight = wave.weight[j];
-                        double* row = partial + c * (D + 1);
-                        for (int d = 0; d < D; ++d)
-                            row[d] += weight * wave.x[static_cast<std::size_t>(d)][j];
-                        row[D] += weight;
-                    }
+    const std::size_t blocks = (active_ + kAssignBlock - 1) / kAssignBlock;
+    blockSums_.resize(blocks * stride);
+    par::parallelFor(
+        settings_.resolvedThreads(), blocks, [&](std::size_t b0, std::size_t b1, int) {
+            for (std::size_t b = b0; b < b1; ++b) {
+                double* partial = &blockSums_[b * stride];
+                std::fill(partial, partial + stride, 0.0);
+                const std::size_t s1 = std::min(active_, (b + 1) * kAssignBlock);
+                for (std::size_t s = b * kAssignBlock; s < s1; ++s) {
+                    const auto c = static_cast<std::size_t>(assignment_[s]);
+                    const double weight = sw_[s];
+                    double* row = partial + c * (D + 1);
+                    for (int d = 0; d < D; ++d)
+                        row[d] += weight * sx_[static_cast<std::size_t>(d)][s];
+                    row[D] += weight;
                 }
-            });
-        for (std::size_t b = 0; b < blocks; ++b)
-            for (std::size_t c = 0; c < stride; ++c)
-                sums[c] += blockSums_[b * stride + c];
-    }
-    recordStoreCounters();
+            }
+        });
+    // Same block-ordered left fold as sweep().
+    for (std::size_t b = 0; b < blocks; ++b)
+        for (std::size_t c = 0; c < stride; ++c)
+            sums[c] += blockSums_[b * stride + c];
 }
 
 template <int D>
-void AssignEngine<D>::processBlock(const typename PointStore<D>::WaveView& wave,
-                                   std::size_t block, Scratch& scratch,
+void AssignEngine<D>::processBlock(std::size_t block, Scratch& scratch,
                                    double* blockSizes) {
-    const std::size_t j0 = block * kAssignBlock;
-    const std::size_t j1 = std::min(wave.count, j0 + kAssignBlock);
+    const std::size_t s0 = block * kAssignBlock;
+    const std::size_t s1 = std::min(active_, s0 + kAssignBlock);
     scratch.slot.clear();
     for (int d = 0; d < D; ++d) scratch.gx[static_cast<std::size_t>(d)].clear();
 
-    for (std::size_t j = j0; j < j1; ++j) {
-        const std::size_t s = wave.begin + j;
+    for (std::size_t s = s0; s < s1; ++s) {
         scratch.counters.pointEvaluations++;
         if (settings_.hamerlyBounds && assignment_[s] >= 0) {
             applyEpochs(s, scratch.counters);
@@ -209,9 +208,8 @@ void AssignEngine<D>::processBlock(const typename PointStore<D>::WaveView& wave,
         scratch.slot.push_back(s);
         for (int d = 0; d < D; ++d)
             scratch.gx[static_cast<std::size_t>(d)].push_back(
-                wave.x[static_cast<std::size_t>(d)][j]);
+                sx_[static_cast<std::size_t>(d)][s]);
     }
-
     if (!scratch.slot.empty()) {
         if (settings_.useKdTree) {
             const std::uint32_t cur = currentEpoch();
@@ -237,8 +235,7 @@ void AssignEngine<D>::processBlock(const typename PointStore<D>::WaveView& wave,
 
     // Per-block weighted sizes, accumulated in slot order within the block.
     for (std::int32_t c = 0; c < k_; ++c) blockSizes[c] = 0.0;
-    for (std::size_t j = j0; j < j1; ++j)
-        blockSizes[assignment_[wave.begin + j]] += wave.weight[j];
+    for (std::size_t s = s0; s < s1; ++s) blockSizes[assignment_[s]] += sw_[s];
 }
 
 namespace {
@@ -458,9 +455,10 @@ std::vector<std::int32_t> AssignEngine<D>::takeAssignment() {
     std::vector<double>().swap(ub_);
     std::vector<double>().swap(lb_);
     std::vector<std::uint32_t>().swap(epoch_);
+    for (auto& x : sx_) std::vector<double>().swap(x);
+    std::vector<double>().swap(sw_);
     std::vector<std::int32_t> byPoint(assignment_.size(), -1);
-    const auto order = store_.order();
-    for (std::size_t s = 0; s < order.size(); ++s) byPoint[order[s]] = assignment_[s];
+    for (std::size_t s = 0; s < order_.size(); ++s) byPoint[order_[s]] = assignment_[s];
     std::vector<std::int32_t>().swap(assignment_);
     return byPoint;
 }

@@ -20,27 +20,19 @@
 //      win for sampled initialization and warm-started repartitioning.
 //      Sequential replay applies the identical multiply/add per round the
 //      eager sweeps performed, so bound values are bitwise unchanged.
-//   3. Budgeted SoA mirror (core::PointStore) + cache-blocked batch kernel.
-//      setActive() hands the active order to a PointStore, which mirrors
-//      the points into per-dimension tile arrays under the byte budget of
-//      Settings::memoryBudgetBytes / GEO_MEM_BUDGET: unlimited keeps the
-//      whole set resident (each setActive gathers only the newly active
-//      slots); a finite budget materializes budget-sized waves of fixed
-//      1024-point tiles, regenerated from the caller's points on every
-//      pass. The sweep walks
-//      the waves in order, each wave's fixed 1024-point blocks in parallel,
-//      gathers the not-skipped points of each block into contiguous
-//      scratch, and runs an auto-vectorizable centers-outer / points-inner
-//      kernel with branchless best/second tracking. Weighted cluster sizes
-//      are accumulated per block and reduced in block order.
+//   3. Slot-ordered SoA mirror + cache-blocked batch kernel. setActive()
+//      mirrors the active points into per-dimension arrays in slot order
+//      (each call gathers only the newly active slots). The sweep runs the
+//      active prefix's fixed 1024-slot blocks in parallel, gathers the
+//      not-skipped points of each block into contiguous scratch, and runs
+//      an auto-vectorizable centers-outer / points-inner kernel with
+//      branchless best/second tracking. Weighted cluster sizes are
+//      accumulated per block and reduced in block order.
 //   4. Intra-rank threading (Settings::threads) via par::parallelFor over
-//      whole blocks. Because block (and wave) boundaries are fixed and the block
-//      partials are reduced serially in ascending global block order —
-//      waves ascending, blocks within a wave ascending, which is the same
-//      left fold the resident path performs — results are bitwise
-//      identical at every thread count AND every memory budget. The same
-//      contract covers updateCenters(), the threaded Alg. 2 line-13
-//      reduction.
+//      whole blocks. Because block boundaries are fixed and the block
+//      partials are reduced serially in ascending block order, results are
+//      bitwise identical at every thread count. The same contract covers
+//      updateCenters(), the threaded Alg. 2 line-13 reduction.
 //   5. Slot-indexed state. The active order is fixed and the active set
 //      only grows, so it is always the slot prefix [0, activeCount).
 //      Assignment, ub, lb and epoch are stored by slot, so sweeps read
@@ -58,7 +50,6 @@
 #include <vector>
 
 #include "core/center_tree.hpp"
-#include "core/point_store.hpp"
 #include "core/settings.hpp"
 #include "geometry/box.hpp"
 #include "geometry/point.hpp"
@@ -80,9 +71,7 @@ public:
     void setActive(std::span<const std::size_t> order, std::size_t activeCount);
 
     /// Bounding box of the active points (invalid when none are active).
-    [[nodiscard]] const Box<D>& activeBox() const noexcept {
-        return store_.activeBox();
-    }
+    [[nodiscard]] const Box<D>& activeBox() const noexcept { return box_; }
 
     /// Start one assignment round against `centers`/`influence` (replicated
     /// state; spans must stay valid until the next beginRound). Recomputes
@@ -145,10 +134,8 @@ private:
         KMeansCounters counters;
     };
 
-    void processBlock(const typename PointStore<D>::WaveView& wave,
-                      std::size_t block, Scratch& scratch, double* blockSizes);
+    void processBlock(std::size_t block, Scratch& scratch, double* blockSizes);
     void batchKernel(Scratch& scratch, std::size_t m);
-    void recordStoreCounters();
     void applyEpochs(std::size_t s, KMeansCounters& counters);
     /// Lane i's coordinates as a point: the same doubles as the caller's.
     [[nodiscard]] static Point<D> gatheredPoint(const Scratch& scratch, std::size_t i) {
@@ -162,16 +149,24 @@ private:
 
     const Settings& settings_;
     std::int32_t k_;
+    std::span<const Point<D>> points_;
+    std::span<const double> weights_;
+
+    // Active set: the fixed order (referenced, not copied), the active
+    // prefix length, its bounding box and its slot-ordered SoA mirror
+    // (coordinates per dimension, then weights).
+    std::span<const std::size_t> order_;
+    bool orderFixed_ = false;
+    std::size_t active_ = 0;
+    Box<D> box_ = Box<D>::empty();
+    std::array<std::vector<double>, static_cast<std::size_t>(D)> sx_;
+    std::vector<double> sw_;
 
     // Persistent per-point state, indexed by active slot (see setActive).
     std::vector<std::int32_t> assignment_;
     std::vector<double> ub_, lb_;
     std::vector<std::uint32_t> epoch_;
     std::vector<Epoch> epochs_;
-
-    // Budgeted active-set mirror: the shared tiled point representation
-    // (coords + weights in fixed tiles, active order, bounding box).
-    PointStore<D> store_;
 
     // Round state.
     std::span<const Point<D>> centers_;

@@ -203,18 +203,15 @@ namespace detail {
 template <int D>
 void storeKMeansDiagnostics(par::Comm& comm, const KMeansOutcome<D>& outcome,
                             GeographerResult& result, std::mutex& resultMutex) {
-    std::array<std::uint64_t, 9> counterSum{
+    std::array<std::uint64_t, 8> counterSum{
         outcome.counters.pointEvaluations, outcome.counters.boundSkips,
         outcome.counters.distanceCalcs, outcome.counters.bboxBreaks,
         outcome.counters.balanceIterations, outcome.counters.epochBoundApplications,
-        outcome.counters.keyedPoints, outcome.counters.sortedRecords,
-        outcome.counters.spilledTiles};
+        outcome.counters.keyedPoints, outcome.counters.sortedRecords};
     comm.allreduceSum(std::span<std::uint64_t>(counterSum.data(), counterSum.size()));
-    // Memory counters describe one rank's tile store, so the cross-rank
-    // reduction is a max (the worst store), not a sum.
-    std::array<std::uint64_t, 2> counterMax{outcome.counters.peakTileBytes,
-                                            outcome.counters.residentBytes};
-    comm.allreduceMax(std::span<std::uint64_t>(counterMax.data(), counterMax.size()));
+    // The point-mirror size describes one rank's engine, so the cross-rank
+    // reduction is a max (the largest mirror), not a sum.
+    const std::uint64_t peakTileBytes = comm.allreduceMax(outcome.counters.peakTileBytes);
 
     if (!comm.isRoot()) return;
     const std::lock_guard<std::mutex> lock(resultMutex);
@@ -228,9 +225,7 @@ void storeKMeansDiagnostics(par::Comm& comm, const KMeansOutcome<D>& outcome,
     result.counters.epochBoundApplications = counterSum[5];
     result.counters.keyedPoints = counterSum[6];
     result.counters.sortedRecords = counterSum[7];
-    result.counters.spilledTiles = counterSum[8];
-    result.counters.peakTileBytes = counterMax[0];
-    result.counters.residentBytes = counterMax[1];
+    result.counters.peakTileBytes = peakTileBytes;
     result.counters.outerIterations = outcome.counters.outerIterations;
     const auto k = outcome.centers.size();
     result.centerCoords.resize(k * D);
@@ -269,8 +264,6 @@ void replicateResult(par::Comm& comm, GeographerResult& result,
             w.u64(result.counters.keyedPoints);
             w.u64(result.counters.sortedRecords);
             w.u64(result.counters.peakTileBytes);
-            w.u64(result.counters.residentBytes);
-            w.u64(result.counters.spilledTiles);
             w.i32(result.counters.outerIterations);
             w.f64(result.modeledSeconds);
             w.u32(static_cast<std::uint32_t>(result.phaseSeconds.size()));
@@ -312,8 +305,6 @@ void replicateResult(par::Comm& comm, GeographerResult& result,
     result.counters.keyedPoints = r.u64();
     result.counters.sortedRecords = r.u64();
     result.counters.peakTileBytes = r.u64();
-    result.counters.residentBytes = r.u64();
-    result.counters.spilledTiles = r.u64();
     result.counters.outerIterations = r.i32();
     result.modeledSeconds = r.f64();
     const std::uint32_t phases = r.u32();

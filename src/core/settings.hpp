@@ -10,7 +10,6 @@
 
 #include "par/thread_pool.hpp"
 #include "par/transport/transport.hpp"
-#include "support/mem.hpp"
 
 namespace geo::core {
 
@@ -123,28 +122,6 @@ struct Settings {
         return par::defaultCommTimeoutMs();
     }
 
-    /// Byte budget for the tiled point mirror every assignment sweep and
-    /// center update runs over (core::PointStore). 0 = unset: fall back to
-    /// GEO_MEM_BUDGET, then unlimited (the whole active set stays resident,
-    /// exactly the pre-budget behavior). A positive budget caps the mirror:
-    /// the store materializes the active set in budget-sized waves of fixed
-    /// 1024-point tiles and regenerates them from the caller's points on
-    /// every pass. Results are bitwise identical at every budget — wave
-    /// boundaries fall on the same fixed tile grid the threading contract
-    /// already reduces over (DESIGN.md "Memory model & tiling"). Budgets
-    /// smaller than one tile clamp up to one tile.
-    std::uint64_t memoryBudgetBytes = 0;
-
-    /// The byte budget actually used: `memoryBudgetBytes` if set, else
-    /// GEO_MEM_BUDGET, else 0 (= unlimited). Like resolvedRanks this is NOT
-    /// cached process-wide: the precedence tests mutate the environment at
-    /// runtime. Throws std::invalid_argument on an unparseable
-    /// GEO_MEM_BUDGET value.
-    [[nodiscard]] std::uint64_t resolvedMemoryBudget() const {
-        if (memoryBudgetBytes > 0) return memoryBudgetBytes;
-        return support::envMemoryBudget();
-    }
-
     /// RNG seed for the sampling permutation.
     std::uint64_t seed = 1;
 
@@ -174,9 +151,7 @@ struct KMeansCounters {
     std::uint64_t epochBoundApplications = 0;  ///< lazy Hamerly epochs applied on touch
     std::uint64_t keyedPoints = 0;       ///< points run through SFC keying (phase 1)
     std::uint64_t sortedRecords = 0;     ///< records owned after the global sort (phase 2)
-    std::uint64_t peakTileBytes = 0;     ///< high-water tile-storage bytes (PointStore)
-    std::uint64_t residentBytes = 0;     ///< tile-storage bytes held at sweep end
-    std::uint64_t spilledTiles = 0;      ///< tile refills beyond each tile's first fill
+    std::uint64_t peakTileBytes = 0;     ///< engine point-mirror bytes, (D+1)·8·active
     int outerIterations = 0;             ///< center-movement rounds
 
     [[nodiscard]] double skipFraction() const noexcept {
@@ -194,11 +169,9 @@ struct KMeansCounters {
         epochBoundApplications += o.epochBoundApplications;
         keyedPoints += o.keyedPoints;
         sortedRecords += o.sortedRecords;
-        // Memory counters: peaks/resident take the max (they describe one
-        // store's high-water mark, not additive work), spills accumulate.
+        // The mirror size describes one engine's footprint, not additive
+        // work, so it takes the max.
         peakTileBytes = std::max(peakTileBytes, o.peakTileBytes);
-        residentBytes = std::max(residentBytes, o.residentBytes);
-        spilledTiles += o.spilledTiles;
         outerIterations = std::max(outerIterations, o.outerIterations);
     }
 };

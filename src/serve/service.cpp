@@ -75,9 +75,8 @@ PartitionService<D>::PartitionService(ServiceConfig<D> config,
     const auto rr = repart::repartitionGeographer<D>(
         live_.points, live_.weights, config_.blocks, config_.ranks,
         config_.settings, repartState_);
-    router_.publish(PartitionSnapshot<D>::fromResult(rr.result, /*version=*/1,
-                                                     config_.ranks,
-                                                     config_.snapshotOptions));
+    router_.publish(
+        PartitionSnapshot<D>::fromResult(rr.result, /*version=*/1, config_.ranks));
     publishedEpochs_.store(1, std::memory_order_relaxed);
     captureOriginNanos_.store(0, std::memory_order_relaxed);
     if (config_.onPublish) config_.onPublish(1, router_.snapshot());
@@ -322,8 +321,7 @@ void PartitionService<D>::repartitionLoop() {
                              std::span<std::int32_t>(stale));
                 misroute = misrouteStats(stale, rr.result.partition).fraction();
             }
-            return PartitionSnapshot<D>::fromResult(rr.result, epoch, config_.ranks,
-                                                    config_.snapshotOptions);
+            return PartitionSnapshot<D>::fromResult(rr.result, epoch, config_.ranks);
         });
 
         if (ok) {

@@ -161,7 +161,6 @@ struct ServiceConfig {
     /// 0 = derive: half of slo.maxStalenessEvents when that is set, else
     /// 4096.
     std::uint64_t repartitionEventThreshold = 0;
-    SnapshotOptions snapshotOptions;
 
     // ---- test seams (no-ops when empty) ------------------------------
     /// Runs inside the tryPublish factory right before the snapshot is

@@ -48,7 +48,7 @@ constexpr std::size_t kMaxSnapshotBytes = std::size_t{1} << 32;
 }  // namespace
 
 template <int D>
-void PartitionSnapshot<D>::finalize(const SnapshotOptions& options) {
+void PartitionSnapshot<D>::finalize() {
     GEO_REQUIRE(!levels_.empty(), "snapshot needs at least one level");
     std::int64_t nodes = 1;
     for (auto& level : levels_) {
@@ -93,8 +93,7 @@ void PartitionSnapshot<D>::finalize(const SnapshotOptions& options) {
         GEO_REQUIRE(rank >= 0, "block → rank map entry out of range");
 
     useTree_ = false;
-    if (depth() == 1 && options.kdTreeFromK > 0 &&
-        k_ >= options.kdTreeFromK) {
+    if (depth() == 1 && k_ >= kKdTreeFromK) {
         const Level& flat = levels_.front();
         std::vector<Point<D>> centers(static_cast<std::size_t>(k_));
         for (std::int32_t c = 0; c < k_; ++c)
@@ -109,7 +108,7 @@ void PartitionSnapshot<D>::finalize(const SnapshotOptions& options) {
 template <int D>
 PartitionSnapshot<D> PartitionSnapshot<D>::fromCenters(
     std::span<const Point<D>> centers, std::span<const double> influence,
-    std::uint64_t version, int ranks, const SnapshotOptions& options) {
+    std::uint64_t version, int ranks) {
     GEO_REQUIRE(!centers.empty(), "snapshot needs at least one center");
     GEO_REQUIRE(centers.size() == influence.size(),
                 "need one influence value per center");
@@ -127,33 +126,31 @@ PartitionSnapshot<D> PartitionSnapshot<D>::fromCenters(
     if (ranks >= 1)
         snap.blockRank_ =
             par::blockRankMap(static_cast<std::int64_t>(centers.size()), ranks);
-    snap.finalize(options);
+    snap.finalize();
     return snap;
 }
 
 template <int D>
 PartitionSnapshot<D> PartitionSnapshot<D>::fromResult(
-    const core::GeographerResult& result, std::uint64_t version, int ranks,
-    const SnapshotOptions& options) {
+    const core::GeographerResult& result, std::uint64_t version, int ranks) {
     const auto centers = core::unflattenCenters<D>(result.centerCoords);
     const auto& influence = result.assignmentInfluence.empty()
                                 ? result.influence
                                 : result.assignmentInfluence;
-    return fromCenters(centers, influence, version, ranks, options);
+    return fromCenters(centers, influence, version, ranks);
 }
 
 template <int D>
 PartitionSnapshot<D> PartitionSnapshot<D>::fromState(
-    const repart::RepartState<D>& state, std::uint64_t version, int ranks,
-    const SnapshotOptions& options) {
+    const repart::RepartState<D>& state, std::uint64_t version, int ranks) {
     return fromCenters(std::span<const Point<D>>(state.centers), state.influence,
-                       version, ranks, options);
+                       version, ranks);
 }
 
 template <int D>
 PartitionSnapshot<D> PartitionSnapshot<D>::fromHierResult(
     const hier::HierResult& result, const hier::Topology& topo, std::uint64_t version,
-    int ranks, const SnapshotOptions& options) {
+    int ranks) {
     topo.validate();
     const std::int32_t k = topo.leafCount();
     PartitionSnapshot snap;
@@ -202,7 +199,7 @@ PartitionSnapshot<D> PartitionSnapshot<D>::fromHierResult(
                 leafRank[static_cast<std::size_t>(leaf)];
         }
     }
-    snap.finalize(options);
+    snap.finalize();
     GEO_CHECK(snap.k_ == k, "snapshot block count must equal the topology leaf count");
     return snap;
 }
@@ -360,8 +357,7 @@ void PartitionSnapshot<D>::save(const std::string& path) const {
 }
 
 template <int D>
-PartitionSnapshot<D> PartitionSnapshot<D>::load(std::istream& in,
-                                                const SnapshotOptions& options) {
+PartitionSnapshot<D> PartitionSnapshot<D>::load(std::istream& in) {
     // Slurp-then-decode through the shared binio primitives (the same ones
     // the socket transport's wire codec uses): every read — fixed field or
     // counted array — is bounds-checked against the bytes actually present
@@ -412,17 +408,16 @@ PartitionSnapshot<D> PartitionSnapshot<D>::load(std::istream& in,
     if (r.u8() != 0)
         snap.blockRank_ = r.vec<std::int32_t>(static_cast<std::size_t>(k));
     r.expectEnd("partition snapshot");
-    snap.finalize(options);
+    snap.finalize();
     GEO_CHECK(snap.k_ == k, "snapshot block count diverged from its header");
     return snap;
 }
 
 template <int D>
-PartitionSnapshot<D> PartitionSnapshot<D>::load(const std::string& path,
-                                                const SnapshotOptions& options) {
+PartitionSnapshot<D> PartitionSnapshot<D>::load(const std::string& path) {
     std::ifstream in(path, std::ios::binary);
     GEO_REQUIRE(in.is_open(), "cannot open snapshot file for reading");
-    return load(in, options);
+    return load(in);
 }
 
 template class PartitionSnapshot<2>;

@@ -9,9 +9,9 @@
 //     the assignment engine uses (core/assign_kernel invariant: x ↦ x² is
 //     monotone on non-negative effective distances, so the argmin matches
 //     the sqrt-domain reference bitwise),
-//   * an optional core::CenterKdTree over the centers for large k
-//     (SnapshotOptions::kdTreeFromK), answering the same squared-domain
-//     argmin in O(log k),
+//   * a core::CenterKdTree over the centers of a flat snapshot with at
+//     least kKdTreeFromK blocks, answering the same squared-domain argmin in
+//     O(log k),
 //   * for hierarchical runs, one weighted-Voronoi diagram per topology node
 //     (HierResult::nodeDiagrams): a lookup descends the levels, picking the
 //     argmin child at each node, and the mixed-radix child digits ARE the
@@ -53,17 +53,18 @@
 
 namespace geo::serve {
 
-struct SnapshotOptions {
-    /// Build a core::CenterKdTree over the centers when a flat (depth-1)
-    /// snapshot has at least this many blocks; single-point and batched
-    /// lookups then answer the argmin in O(log k) instead of scanning all
-    /// centers. 0 disables the tree entirely.
-    std::int32_t kdTreeFromK = 128;
-};
-
 template <int D>
 class PartitionSnapshot {
 public:
+    /// A flat (depth-1) snapshot with at least this many blocks builds a
+    /// core::CenterKdTree and answers single-point and batched lookups in
+    /// O(log k) instead of scanning all centers. Every serving caller
+    /// (Router::route(span), PartitionService) routes batched, so the
+    /// threshold is the batched crossover: the tree's per-point descent
+    /// loses to the tiled scan below it, although it already wins
+    /// single-point lookups from k=256 on. See bench_serve_qps.
+    static constexpr std::int32_t kKdTreeFromK = D == 2 ? 512 : 1024;
+
     /// One level of the routing hierarchy. A flat k-block snapshot is one
     /// level with a single node of branching k. Entries are node-major:
     /// node n's child c lives at slot n * branching + c.
@@ -81,8 +82,7 @@ public:
     /// additionally records the contiguous block → rank split of
     /// par::blockRange; 0 leaves the snapshot without a rank map.
     static PartitionSnapshot fromResult(const core::GeographerResult& result,
-                                        std::uint64_t version = 0, int ranks = 0,
-                                        const SnapshotOptions& options = {});
+                                        std::uint64_t version = 0, int ranks = 0);
 
     /// Flat snapshot from carried repartitioning state. RepartState holds
     /// the *post-adaptation* influence (the right warm start for the next
@@ -90,8 +90,7 @@ public:
     /// near block boundaries whenever the two influence vectors differ —
     /// prefer fromResult when exact reproduction matters.
     static PartitionSnapshot fromState(const repart::RepartState<D>& state,
-                                       std::uint64_t version = 0, int ranks = 0,
-                                       const SnapshotOptions& options = {});
+                                       std::uint64_t version = 0, int ranks = 0);
 
     /// Hierarchical snapshot: replays the per-node diagrams of a
     /// hier::partitionHierarchical / repartitionHierarchical run level by
@@ -100,15 +99,13 @@ public:
     /// Topology::leafRankMap.
     static PartitionSnapshot fromHierResult(const hier::HierResult& result,
                                             const hier::Topology& topo,
-                                            std::uint64_t version = 0, int ranks = 0,
-                                            const SnapshotOptions& options = {});
+                                            std::uint64_t version = 0, int ranks = 0);
 
     /// Raw flat builder over replicated centers + the influence the served
     /// partition is exact for.
     static PartitionSnapshot fromCenters(std::span<const Point<D>> centers,
                                          std::span<const double> influence,
-                                         std::uint64_t version = 0, int ranks = 0,
-                                         const SnapshotOptions& options = {});
+                                         std::uint64_t version = 0, int ranks = 0);
 
     [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
     [[nodiscard]] std::int32_t blockCount() const noexcept { return k_; }
@@ -138,13 +135,12 @@ public:
     /// influence bit-exact, so a reloaded snapshot routes identically).
     void save(std::ostream& out) const;
     void save(const std::string& path) const;
-    static PartitionSnapshot load(std::istream& in, const SnapshotOptions& options = {});
-    static PartitionSnapshot load(const std::string& path,
-                                  const SnapshotOptions& options = {});
+    static PartitionSnapshot load(std::istream& in);
+    static PartitionSnapshot load(const std::string& path);
 
 private:
     PartitionSnapshot() = default;
-    void finalize(const SnapshotOptions& options);  ///< derived state + checks
+    void finalize();  ///< derived state + checks
     void routeTile(const Point<D>* pts, std::size_t count, std::int32_t* out) const;
 
     std::uint64_t version_ = 0;

@@ -34,10 +34,9 @@ std::uint64_t hilbertIndex(const Point<D>& p, const Box<D>& bounds);
 template <int D>
 Point<D> hilbertPoint(std::uint64_t index, const Box<D>& bounds);
 
-/// Points per keying tile — the span the chunked pipeline keys at a time
-/// (geographer fuses keying into its record build through one tile-sized
-/// stack buffer per worker instead of an n-wide key mirror). Matches the
-/// core::PointStore tile.
+/// Points per keying tile — the span the geographer keys at a time (it
+/// fuses keying into its record build through one tile-sized stack buffer
+/// per worker instead of an n-wide key mirror).
 inline constexpr std::size_t kKeyTile = 1024;
 
 /// Batch keying for a whole point set. Callers that already hold the global
@@ -52,8 +51,8 @@ std::vector<std::uint64_t> hilbertIndices(std::span<const Point<D>> points,
                                           const Box<D>& bounds, int threads = 1);
 
 /// Span-writing variant: key `points` into caller-provided `out` (same
-/// size) without allocating. The chunked pipeline calls this per tile, so
-/// the key buffer stays tile-sized instead of mirroring all n points.
+/// size) without allocating. The geographer calls this per tile, so the
+/// key buffer stays tile-sized instead of mirroring all n points.
 template <int D>
 void hilbertIndicesInto(std::span<const Point<D>> points, const Box<D>& bounds,
                         std::span<std::uint64_t> out, int threads = 1);

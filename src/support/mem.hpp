@@ -1,16 +1,13 @@
-// Process memory introspection + memory-budget parsing.
+// Process memory introspection and byte-count parsing.
 //
-// The chunked point pipeline (core/point_store.hpp) is budgeted in bytes;
-// this header supplies the two sides of that contract: reading the budget
-// (Settings::memoryBudgetBytes / the GEO_MEM_BUDGET environment variable,
-// with K/M/G suffixes) and observing what the process actually used (current
-// and peak RSS), which the BENCH_*.json writers record so the CI bench
-// trajectory can assert a budgeted run stayed under its cap.
+// peakRssBytes/currentRssBytes observe what the process actually used; the
+// BENCH_*.json writers record the peak, and `--assert-rss BYTES` (parsed by
+// parseMemBytes, K/M/G suffixes accepted) fails a bench run whose peak RSS
+// exceeds the cap.
 #pragma once
 
 #include <cctype>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <stdexcept>
 #include <string>
@@ -56,8 +53,8 @@ namespace geo::support {
 
 /// Parse a byte count with an optional binary suffix: "0", "1048576",
 /// "64K", "512M", "2G" (case-insensitive, optional trailing 'B').
-/// Throws std::invalid_argument on anything else — a typoed budget must
-/// fail loudly, not silently run unbudgeted.
+/// Throws std::invalid_argument on anything else — a typoed cap must fail
+/// loudly, not silently run unchecked.
 [[nodiscard]] inline std::uint64_t parseMemBytes(std::string_view text) {
     std::size_t pos = 0;
     while (pos < text.size() &&
@@ -96,16 +93,6 @@ namespace geo::support {
         throw std::invalid_argument("memory size overflows: '" +
                                     std::string(text) + "'");
     return value * multiplier;
-}
-
-/// The GEO_MEM_BUDGET environment variable as bytes; 0 (= unlimited) when
-/// unset or empty. Deliberately NOT cached — geo_launch workers and the
-/// precedence tests mutate the environment at runtime, mirroring
-/// Settings::resolvedRanks.
-[[nodiscard]] inline std::uint64_t envMemoryBudget() {
-    const char* env = std::getenv("GEO_MEM_BUDGET");
-    if (env == nullptr || *env == '\0') return 0;
-    return parseMemBytes(env);
 }
 
 }  // namespace geo::support

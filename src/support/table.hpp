@@ -16,7 +16,9 @@ public:
     /// Append one row; must have the same arity as the header.
     void addRow(std::vector<std::string> cells);
 
-    /// Format a double with the given precision, trimming trailing zeros.
+    /// Format a double with `precision` significant digits (not decimals),
+    /// trimming trailing zeros; a value with more integer digits than that
+    /// prints in scientific notation, so round large values instead.
     static std::string num(double value, int precision = 4);
 
     /// Print with column alignment and a separator under the header.

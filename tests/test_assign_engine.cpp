@@ -7,6 +7,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "core/assign_kernel.hpp"
@@ -122,6 +123,15 @@ TEST(AssignEngine, ShuffledOrderGrowingPrefixMatchesBruteForce) {
         Xoshiro256 perturb(317);
         for (const std::size_t active : {std::size_t{700}, std::size_t{2100}, points.size()}) {
             engine.setActive(order, active);
+            // The grown box is exactly the box of the active prefix.
+            Box<2> box = Box<2>::empty();
+            for (std::size_t slot = 0; slot < active; ++slot) box.extend(points[order[slot]]);
+            EXPECT_EQ(engine.activeBox().lo, box.lo) << "t" << threads << " active " << active;
+            EXPECT_EQ(engine.activeBox().hi, box.hi) << "t" << threads << " active " << active;
+            // The order is fixed by the first call and the prefix only grows.
+            const std::vector<std::size_t> otherOrder = order;
+            EXPECT_THROW(engine.setActive(otherOrder, active), std::invalid_argument);
+            EXPECT_THROW(engine.setActive(order, active - 1), std::invalid_argument);
             engine.beginRound(centers, influence, engine.activeBox());
             engine.sweep(sizes);
             for (std::size_t slot = 0; slot < active; ++slot)

@@ -37,7 +37,6 @@ using geo::Xoshiro256;
 using geo::core::Settings;
 using geo::serve::PartitionSnapshot;
 using geo::serve::Router;
-using geo::serve::SnapshotOptions;
 
 std::vector<double> fractionalWeights(std::size_t n, std::uint64_t seed) {
     Xoshiro256 rng(seed);
@@ -202,23 +201,24 @@ TEST(ServeSnapshot, HierarchicalWarmRepartitionRoutesBitwise) {
                          second.partition, "hier step2");
 }
 
-TEST(ServeSnapshot, KdTreeRoutingMatchesLinearScan) {
-    const auto mesh = geo::gen::delaunay2d(5000, 239);
-    const std::int32_t k = 48;
+TEST(ServeSnapshot, KdTreeBuiltFromThresholdRoutesBitwise) {
+    // A flat snapshot switches to the kd-tree exactly at kKdTreeFromK, and
+    // the tree's routes still reproduce the engine's partition bitwise.
+    const std::int32_t k = PartitionSnapshot<2>::kKdTreeFromK;
+    const auto mesh = geo::gen::delaunay2d(20000, 239);
     Settings settings;
     const auto res = geo::core::partitionGeographer<2>(mesh.points, {}, k, 1, settings);
 
-    SnapshotOptions treeOptions;
-    treeOptions.kdTreeFromK = 1;  // force the tree even at small k
-    const auto withTree = PartitionSnapshot<2>::fromResult(res, 1, 0, treeOptions);
-    SnapshotOptions scanOptions;
-    scanOptions.kdTreeFromK = 0;  // never build the tree
-    const auto withScan = PartitionSnapshot<2>::fromResult(res, 1, 0, scanOptions);
+    const auto withTree = PartitionSnapshot<2>::fromResult(res, 1);
     EXPECT_TRUE(withTree.usesKdTree());
-    EXPECT_FALSE(withScan.usesKdTree());
-
     expectRoutesMatch<2>(withTree, mesh.points, res.partition, "kdtree");
-    expectRoutesMatch<2>(withScan, mesh.points, res.partition, "linear");
+
+    const auto centers = geo::core::unflattenCenters<2>(res.centerCoords);
+    const auto below = PartitionSnapshot<2>::fromCenters(
+        std::span<const Point2>(centers).first(static_cast<std::size_t>(k - 1)),
+        std::span<const double>(res.assignmentInfluence)
+            .first(static_cast<std::size_t>(k - 1)));
+    EXPECT_FALSE(below.usesKdTree());
 }
 
 TEST(ServeSnapshot, SaveLoadRoundTripsExactly) {
@@ -449,7 +449,7 @@ void patchDouble(std::string& bytes, double from, double to) {
 TEST(ServeSnapshot, LoadRejectsNonFiniteValues) {
     // Streams that are structurally valid but carry a non-finite value: an
     // infinite influence would win every query, a NaN coordinate poisons
-    // every comparison (and, at k >= kdTreeFromK, the kd-tree build).
+    // every comparison (and, at k >= kKdTreeFromK, the kd-tree build).
     // Each marker value occurs once in its stream, so patching it is
     // independent of the byte layout.
     constexpr double kInfluenceMarker = 1.2345678;
@@ -474,9 +474,11 @@ TEST(ServeSnapshot, LoadRejectsNonFiniteValues) {
     constexpr double kInf = std::numeric_limits<double>::infinity();
     constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
-    for (const std::int32_t k : {4, 200}) {
+    for (const std::int32_t k : {4, PartitionSnapshot<2>::kKdTreeFromK}) {
         const std::string clean = savedStream(k);
-        EXPECT_EQ(load(clean).blockCount(), k);
+        const auto loaded = load(clean);
+        EXPECT_EQ(loaded.blockCount(), k);
+        EXPECT_EQ(loaded.usesKdTree(), k >= PartitionSnapshot<2>::kKdTreeFromK);
         for (const double bad : {kInf, -kInf, kNaN}) {
             std::string influenceBad = clean;
             patchDouble(influenceBad, kInfluenceMarker, bad);
