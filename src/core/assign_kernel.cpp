@@ -122,7 +122,6 @@ void AssignEngine<D>::beginRound(std::span<const Point<D>> centers,
                   });
         keysValid_ = true;
     }
-    if (settings_.useKdTree) tree_.rebuild(centers_, influence_);
 }
 
 template <int D>
@@ -210,28 +209,7 @@ void AssignEngine<D>::processBlock(std::size_t block, Scratch& scratch,
             scratch.gx[static_cast<std::size_t>(d)].push_back(
                 sx_[static_cast<std::size_t>(d)][s]);
     }
-    if (!scratch.slot.empty()) {
-        if (settings_.useKdTree) {
-            const std::uint32_t cur = currentEpoch();
-            for (std::size_t i = 0; i < scratch.slot.size(); ++i) {
-                const std::size_t s = scratch.slot[i];
-                const Point<D> pt = gatheredPoint(scratch, i);
-                const auto q = tree_.queryNearestIds(pt);
-                assignment_[s] = q.best;
-                const auto bc = static_cast<std::size_t>(q.best);
-                ub_[s] = distance(pt, centers_[bc]) / influence_[bc];
-                if (q.second >= 0) {
-                    const auto sc = static_cast<std::size_t>(q.second);
-                    lb_[s] = distance(pt, centers_[sc]) / influence_[sc];
-                } else {
-                    lb_[s] = kInf;
-                }
-                epoch_[s] = cur;
-            }
-        } else {
-            batchKernel(scratch, scratch.slot.size());
-        }
-    }
+    if (!scratch.slot.empty()) batchKernel(scratch, scratch.slot.size());
 
     // Per-block weighted sizes, accumulated in slot order within the block.
     for (std::int32_t c = 0; c < k_; ++c) blockSizes[c] = 0.0;
@@ -267,7 +245,8 @@ void AssignEngine<D>::batchKernel(Scratch& scratch, std::size_t m) {
     // most two per assigned point).
     const auto materialize = [&](std::size_t j) {
         const std::size_t s = scratch.slot[j];
-        const Point<D> pt = gatheredPoint(scratch, j);
+        Point<D> pt;  // lane j's coordinates: the same doubles as the caller's
+        for (int d = 0; d < D; ++d) pt[d] = scratch.gx[static_cast<std::size_t>(d)][j];
         const auto bc = static_cast<std::int32_t>(scratch.bestC[j]);
         GEO_CHECK(bc >= 0, "assignment found no center");
         assignment_[s] = bc;

@@ -49,7 +49,6 @@
 #include <span>
 #include <vector>
 
-#include "core/center_tree.hpp"
 #include "core/settings.hpp"
 #include "geometry/box.hpp"
 #include "geometry/point.hpp"
@@ -137,12 +136,6 @@ private:
     void processBlock(std::size_t block, Scratch& scratch, double* blockSizes);
     void batchKernel(Scratch& scratch, std::size_t m);
     void applyEpochs(std::size_t s, KMeansCounters& counters);
-    /// Lane i's coordinates as a point: the same doubles as the caller's.
-    [[nodiscard]] static Point<D> gatheredPoint(const Scratch& scratch, std::size_t i) {
-        Point<D> pt;
-        for (int d = 0; d < D; ++d) pt[d] = scratch.gx[static_cast<std::size_t>(d)][i];
-        return pt;
-    }
     [[nodiscard]] std::uint32_t currentEpoch() const noexcept {
         return static_cast<std::uint32_t>(epochs_.size());
     }
@@ -175,7 +168,6 @@ private:
     std::vector<std::int32_t> sortedCenters_;
     std::vector<double> centerKey_;
     bool keysValid_ = false;  ///< pruning keys were computed this round
-    CenterKdTree<D> tree_;
 
     std::vector<double> blockSizes_;  ///< per-block weighted cluster sizes
     std::vector<double> blockSums_;   ///< per-block center-update partials

@@ -14,39 +14,32 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 template <int D>
 CenterKdTree<D>::CenterKdTree(std::span<const Point<D>> centers,
-                              std::span<const double> influence) {
-    rebuild(centers, influence);
-}
-
-template <int D>
-void CenterKdTree<D>::rebuild(std::span<const Point<D>> centers,
-                              std::span<const double> influence) {
+                              std::span<const double> influence)
+    : centers_(centers.begin(), centers.end()) {
     GEO_REQUIRE(!centers.empty(), "kd-tree needs at least one center");
     GEO_REQUIRE(centers.size() == influence.size(), "one influence per center");
-    centers_.assign(centers.begin(), centers.end());
-    influence_.assign(influence.begin(), influence.end());
-    invInfluence2_.resize(influence_.size());
-    for (std::size_t c = 0; c < influence_.size(); ++c)
-        invInfluence2_[c] = 1.0 / (influence_[c] * influence_[c]);
+    invInfluence2_.resize(influence.size());
+    for (std::size_t c = 0; c < influence.size(); ++c)
+        invInfluence2_[c] = 1.0 / (influence[c] * influence[c]);
     order_.resize(centers_.size());
     for (std::size_t i = 0; i < order_.size(); ++i)
         order_[i] = static_cast<std::int32_t>(i);
-    nodes_.clear();
     nodes_.reserve(2 * centers_.size() / kLeafSize + 2);
-    root_ = build(0, static_cast<std::int32_t>(centers_.size()), 0);
+    build(0, static_cast<std::int32_t>(centers_.size()), 0);  // root = node 0
 }
 
 template <int D>
 std::int32_t CenterKdTree<D>::build(std::int32_t begin, std::int32_t end, int depth) {
     Node node;
     node.bounds = Box<D>::empty();
-    double maxInfluence = 0.0;
+    // x ↦ 1/x² is monotone on positive influence, so the smallest 1/I² is
+    // bitwise 1/maxI².
+    node.invMaxInfluence2 = kInf;
     for (std::int32_t i = begin; i < end; ++i) {
-        const auto c = order_[static_cast<std::size_t>(i)];
-        node.bounds.extend(centers_[static_cast<std::size_t>(c)]);
-        maxInfluence = std::max(maxInfluence, influence_[static_cast<std::size_t>(c)]);
+        const auto c = static_cast<std::size_t>(order_[static_cast<std::size_t>(i)]);
+        node.bounds.extend(centers_[c]);
+        node.invMaxInfluence2 = std::min(node.invMaxInfluence2, invInfluence2_[c]);
     }
-    node.invMaxInfluence2 = 1.0 / (maxInfluence * maxInfluence);
     node.begin = begin;
     node.end = end;
 
@@ -70,27 +63,23 @@ std::int32_t CenterKdTree<D>::build(std::int32_t begin, std::int32_t end, int de
 }
 
 template <int D>
-void CenterKdTree<D>::searchSquared(std::int32_t nodeId, const Point<D>& p,
-                                    IdResult& out, double& best2,
-                                    double& second2) const {
+void CenterKdTree<D>::search(std::int32_t nodeId, const Point<D>& p, std::int32_t& best,
+                             double& best2) const {
     const Node& node = nodes_[static_cast<std::size_t>(nodeId)];
     // Squared-domain lower bound on any effective distance² in this subtree.
+    // Pruning only on a strictly greater bound keeps subtrees that may hold
+    // an exact tie with a lower id.
     const double bound2 = node.bounds.minSquaredDistance(p) * node.invMaxInfluence2;
-    if (bound2 >= second2) return;
+    if (bound2 > best2) return;
 
     if (node.left < 0) {
         for (std::int32_t i = node.begin; i < node.end; ++i) {
             const auto c = order_[static_cast<std::size_t>(i)];
             const double eff2 = squaredDistance(p, centers_[static_cast<std::size_t>(c)]) *
                                 invInfluence2_[static_cast<std::size_t>(c)];
-            if (eff2 < best2) {
-                second2 = best2;
-                out.second = out.best;
+            if (eff2 < best2 || (eff2 == best2 && c < best)) {
                 best2 = eff2;
-                out.best = c;
-            } else if (eff2 < second2) {
-                second2 = eff2;
-                out.second = c;
+                best = c;
             }
         }
         return;
@@ -100,22 +89,22 @@ void CenterKdTree<D>::searchSquared(std::int32_t nodeId, const Point<D>& p,
     const double dl = l.bounds.minSquaredDistance(p) * l.invMaxInfluence2;
     const double dr = r.bounds.minSquaredDistance(p) * r.invMaxInfluence2;
     if (dl <= dr) {
-        searchSquared(node.left, p, out, best2, second2);
-        searchSquared(node.right, p, out, best2, second2);
+        search(node.left, p, best, best2);
+        search(node.right, p, best, best2);
     } else {
-        searchSquared(node.right, p, out, best2, second2);
-        searchSquared(node.left, p, out, best2, second2);
+        search(node.right, p, best, best2);
+        search(node.left, p, best, best2);
     }
 }
 
 template <int D>
-typename CenterKdTree<D>::IdResult CenterKdTree<D>::queryNearestIds(
-    const Point<D>& p) const {
-    IdResult out;
-    double best2 = kInf, second2 = kInf;
-    searchSquared(root_, p, out, best2, second2);
-    GEO_CHECK(out.best >= 0, "kd-tree query found no center");
-    return out;
+std::int32_t CenterKdTree<D>::queryNearest(const Point<D>& p) const {
+    // The linear scan's start state: id 0 at +∞, so a query with no finite
+    // effective distance lands on id 0 on both paths.
+    std::int32_t best = 0;
+    double best2 = kInf;
+    search(0, p, best, best2);
+    return best;
 }
 
 template class CenterKdTree<2>;

@@ -1,7 +1,10 @@
 // Tuning parameters of balanced k-means / Geographer (§4 of the paper).
 //
 // Every switch the paper describes as a "tuning parameter" or optimization
-// is independently toggleable so the ablation benches can quantify it.
+// is independently toggleable so the ablation benches can quantify it. The
+// §4.3 alternative, a kd-tree over the centers in the assignment sweep, is
+// not a switch: it measured slower than the bounds at every k (DESIGN.md,
+// "§4.3: kd-tree vs distance bounds").
 #pragma once
 
 #include <algorithm>
@@ -50,12 +53,6 @@ struct Settings {
 
     /// Bounding-box center pruning (§4.4).
     bool boundingBoxPruning = true;
-
-    /// Assign points via a kd-tree over the centers instead of the linear
-    /// scan — the alternative §4.3 dismisses ("kd-trees are outperformed by
-    /// simpler distance bounds"); kept for the ablation that verifies the
-    /// claim. Composes with hamerlyBounds (the skip test still applies).
-    bool useKdTree = false;
 
     /// Sampled initialization: start with 100 random points per rank and
     /// double each round (§4.5 "random initialization").

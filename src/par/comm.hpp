@@ -214,14 +214,6 @@ public:
         return v;
     }
 
-    /// Record non-collective communication performed through shared memory
-    /// (e.g. the SpMV halo exchange) in the stats and cost model.
-    void accountNeighborExchange(int neighbors, std::size_t sentBytes,
-                                 std::size_t recvBytes) {
-        account(sentBytes, recvBytes,
-                cost_->neighborExchange(size(), neighbors, sentBytes + recvBytes));
-    }
-
     [[nodiscard]] const CommStats& stats() const noexcept { return *stats_; }
     void resetStats() noexcept { *stats_ = CommStats{}; }
 

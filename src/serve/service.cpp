@@ -148,24 +148,6 @@ bool PartitionService<D>::submit(std::vector<repart::ChurnEvent<D>> events) {
 }
 
 template <int D>
-bool PartitionService<D>::trySubmit(std::vector<repart::ChurnEvent<D>> events) {
-    if (events.empty()) return !stopped_.load(std::memory_order_acquire);
-    {
-        const std::lock_guard<std::mutex> lock(queueMutex_);
-        if (stopped_.load(std::memory_order_acquire)) return false;
-        if (queuedEvents_ > 0 &&
-            queuedEvents_ + events.size() > config_.slo.ingestQueueBound)
-            return false;
-        queuedEvents_ += events.size();
-        queueDepth_.store(queuedEvents_, std::memory_order_relaxed);
-        queue_.push_back(std::move(events));
-    }
-    queueNotEmpty_.notify_one();
-    evaluateState();
-    return true;
-}
-
-template <int D>
 void PartitionService<D>::ingestLoop() {
     for (;;) {
         std::vector<repart::ChurnEvent<D>> batch;

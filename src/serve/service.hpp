@@ -205,11 +205,6 @@ public:
     /// (the batch is not enqueued). Empty batches return true immediately.
     bool submit(std::vector<repart::ChurnEvent<D>> events);
 
-    /// Non-blocking submit: false when admission would have blocked (or the
-    /// service is stopped) — what a producer that prefers dropping to
-    /// stalling calls.
-    bool trySubmit(std::vector<repart::ChurnEvent<D>> events);
-
     /// Batched query against the current snapshot. Admission may shed
     /// Low-priority batches (RouteStatus::Overloaded; `blocks` is then
     /// untouched). Never throws on a poisoned router — that surfaces as

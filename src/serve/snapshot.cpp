@@ -92,7 +92,6 @@ void PartitionSnapshot<D>::finalize() {
     for (const std::int32_t rank : blockRank_)
         GEO_REQUIRE(rank >= 0, "block → rank map entry out of range");
 
-    useTree_ = false;
     if (depth() == 1 && k_ >= kKdTreeFromK) {
         const Level& flat = levels_.front();
         std::vector<Point<D>> centers(static_cast<std::size_t>(k_));
@@ -100,8 +99,7 @@ void PartitionSnapshot<D>::finalize() {
             for (int d = 0; d < D; ++d)
                 centers[static_cast<std::size_t>(c)][d] =
                     flat.cx[static_cast<std::size_t>(d)][static_cast<std::size_t>(c)];
-        tree_.rebuild(centers, flat.influence);
-        useTree_ = true;
+        tree_.emplace(centers, flat.influence);
     }
 }
 
@@ -218,7 +216,7 @@ std::int32_t PartitionSnapshot<D>::rankOf(std::int32_t block) const {
 
 template <int D>
 std::int32_t PartitionSnapshot<D>::blockOf(const Point<D>& p) const {
-    if (useTree_) return tree_.queryNearestIds(p).best;
+    if (tree_) return tree_->queryNearest(p);
     std::int64_t node = 0;
     for (const Level& level : levels_) {
         const auto b = static_cast<std::size_t>(level.branching);
@@ -250,9 +248,8 @@ std::int32_t PartitionSnapshot<D>::blockOf(const Point<D>& p) const {
 template <int D>
 void PartitionSnapshot<D>::routeTile(const Point<D>* pts, std::size_t count,
                                      std::int32_t* out) const {
-    if (useTree_) {
-        for (std::size_t i = 0; i < count; ++i)
-            out[i] = tree_.queryNearestIds(pts[i]).best;
+    if (tree_) {
+        for (std::size_t i = 0; i < count; ++i) out[i] = tree_->queryNearest(pts[i]);
         return;
     }
     if (depth() > 1) {

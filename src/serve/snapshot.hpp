@@ -10,8 +10,8 @@
 //     monotone on non-negative effective distances, so the argmin matches
 //     the sqrt-domain reference bitwise),
 //   * a core::CenterKdTree over the centers of a flat snapshot with at
-//     least kKdTreeFromK blocks, answering the same squared-domain argmin in
-//     O(log k),
+//     least kKdTreeFromK blocks, answering the same squared-domain argmin
+//     (same values, same lowest-id ties) in O(log k),
 //   * for hierarchical runs, one weighted-Voronoi diagram per topology node
 //     (HierResult::nodeDiagrams): a lookup descends the levels, picking the
 //     argmin child at each node, and the mixed-radix child digits ARE the
@@ -24,11 +24,9 @@
 // it snapshots `assignmentInfluence` — the influence the final assignment
 // sweep actually used (see GeographerResult). Exact argmin ties are
 // possible only for duplicated centers (reachable: an empty cluster keeps
-// its seeded center); the linear-scan and descent paths resolve them to the
-// lowest block id, while the kd-tree path visits centers in tree order and
-// may pick the duplicate — the same caveat the engine's own
-// Settings::useKdTree mode carries relative to its scalar scan. With
-// distinct centers (every real run in the suite) all paths agree bitwise.
+// its seeded center); every path — linear scan, kd-tree and hierarchical
+// descent, single-point and batched — resolves them to the lowest block id,
+// the rule the partition itself follows.
 //
 // Snapshots are immutable after construction; every member function is
 // const and safe to call from any number of threads concurrently. The
@@ -40,6 +38,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -110,7 +109,7 @@ public:
     [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
     [[nodiscard]] std::int32_t blockCount() const noexcept { return k_; }
     [[nodiscard]] int depth() const noexcept { return static_cast<int>(levels_.size()); }
-    [[nodiscard]] bool usesKdTree() const noexcept { return useTree_; }
+    [[nodiscard]] bool usesKdTree() const noexcept { return tree_.has_value(); }
     [[nodiscard]] bool hasRankMap() const noexcept { return !blockRank_.empty(); }
 
     /// Topology leaf of `block` (identity when the snapshot carries no
@@ -148,8 +147,7 @@ private:
     std::vector<Level> levels_;
     std::vector<std::int32_t> blockLeaf_;  ///< empty = identity
     std::vector<std::int32_t> blockRank_;  ///< empty = no rank map
-    core::CenterKdTree<D> tree_;
-    bool useTree_ = false;
+    std::optional<core::CenterKdTree<D>> tree_;  ///< flat, k >= kKdTreeFromK
 };
 
 extern template class PartitionSnapshot<2>;

@@ -1,6 +1,6 @@
 // Process memory introspection and byte-count parsing.
 //
-// peakRssBytes/currentRssBytes observe what the process actually used; the
+// peakRssBytes observes what the process actually used; the
 // BENCH_*.json writers record the peak, and `--assert-rss BYTES` (parsed by
 // parseMemBytes, K/M/G suffixes accepted) fails a bench run whose peak RSS
 // exceeds the cap.
@@ -8,14 +8,12 @@
 
 #include <cctype>
 #include <cstdint>
-#include <fstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
-#include <unistd.h>
 #endif
 
 namespace geo::support {
@@ -32,20 +30,6 @@ namespace geo::support {
 #else
     return static_cast<std::uint64_t>(ru.ru_maxrss) * 1024;
 #endif
-#else
-    return 0;
-#endif
-}
-
-/// Current resident set size in bytes (/proc/self/statm). 0 where /proc is
-/// unavailable — callers treat it as "unknown", never as "no memory".
-[[nodiscard]] inline std::uint64_t currentRssBytes() noexcept {
-#if defined(__linux__)
-    std::ifstream statm("/proc/self/statm");
-    std::uint64_t sizePages = 0, residentPages = 0;
-    if (!(statm >> sizePages >> residentPages)) return 0;
-    const long page = sysconf(_SC_PAGESIZE);
-    return residentPages * static_cast<std::uint64_t>(page > 0 ? page : 4096);
 #else
     return 0;
 #endif

@@ -176,14 +176,11 @@ TEST(AssignEngine, ShuffledOrderGrowingPrefixMatchesBruteForce) {
     }
 }
 
-class EngineModeSweep : public ::testing::TestWithParam<std::tuple<bool, int>> {};
-INSTANTIATE_TEST_SUITE_P(
-    Modes, EngineModeSweep,
-    ::testing::Combine(::testing::Bool(),          // useKdTree
-                       ::testing::Values(1, 3)));  // threads
+class EngineModeSweep : public ::testing::TestWithParam<int> {};
+INSTANTIATE_TEST_SUITE_P(Threads, EngineModeSweep, ::testing::Values(1, 3));
 
 TEST_P(EngineModeSweep, SingleSweepMatchesBruteForce) {
-    const auto [kdTree, threads] = GetParam();
+    const int threads = GetParam();
     const auto points = randomPoints<2>(4000, 211);
     const auto centers = randomPoints<2>(23, 223);
     Xoshiro256 rng(227);
@@ -191,7 +188,6 @@ TEST_P(EngineModeSweep, SingleSweepMatchesBruteForce) {
     for (std::size_t c = 0; c < centers.size(); ++c)
         influence.push_back(rng.uniform(0.5, 2.0));
     Settings s;
-    s.useKdTree = kdTree;
     s.threads = threads;
     AssignEngine<2> engine(points, {}, s, 23);
     const auto order = identityOrder(points.size());

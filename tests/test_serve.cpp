@@ -413,27 +413,44 @@ TEST(ServeSnapshot, FromStateServesCarriedWarmStartState) {
 }
 
 TEST(ServeSnapshot, DuplicateCentersTieToLowestId) {
-    // Centers 0 and 1 coincide, so every query ties exactly between them.
-    // The linear-scan kernels keep the first strict minimum: block 1 can
-    // never win, and the batched and single-point paths must agree.
-    const std::vector<Point2> centers{Point2{{0.25, 0.5}}, Point2{{0.25, 0.5}},
-                                      Point2{{0.75, 0.5}}};
-    const std::vector<double> influence(3, 1.0);
-    const auto snap = PartitionSnapshot<2>::fromCenters(std::span<const Point2>(centers),
-                                                        influence);
-    ASSERT_FALSE(snap.usesKdTree());
-
+    // Center c + k/2 repeats center c (coordinates and influence), so every
+    // query ties exactly between two blocks and must land on the lower one:
+    // the result equals a scan over the first k/2 centers alone. Checked on
+    // the scan path (k = 4) and the kd-tree path (k = kKdTreeFromK), batched
+    // and single-point.
     Xoshiro256 rng(257);
     std::vector<Point2> queries(4096);
     for (auto& q : queries) {
         q[0] = rng.uniform();
         q[1] = rng.uniform();
     }
-    std::vector<std::int32_t> batched(queries.size(), -1);
-    snap.blockOf(queries, batched);
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-        EXPECT_NE(batched[i], 1) << "query " << i;
-        EXPECT_EQ(batched[i], snap.blockOf(queries[i])) << "query " << i;
+    for (const std::int32_t k : {std::int32_t{4}, PartitionSnapshot<2>::kKdTreeFromK}) {
+        const auto half = static_cast<std::size_t>(k / 2);
+        std::vector<Point2> centers(half);
+        std::vector<double> influence(half);
+        for (std::size_t c = 0; c < half; ++c) {
+            centers[c] = Point2{{rng.uniform(), rng.uniform()}};
+            influence[c] = rng.uniform(0.5, 2.0);
+        }
+        const auto reference = PartitionSnapshot<2>::fromCenters(
+            std::span<const Point2>(centers), influence);
+        ASSERT_FALSE(reference.usesKdTree());
+        centers.insert(centers.end(), centers.begin(), centers.end());
+        influence.insert(influence.end(), influence.begin(), influence.end());
+        const auto snap = PartitionSnapshot<2>::fromCenters(
+            std::span<const Point2>(centers), influence);
+        EXPECT_EQ(snap.usesKdTree(), k >= PartitionSnapshot<2>::kKdTreeFromK);
+
+        std::vector<std::int32_t> want(queries.size(), -1), batched(queries.size(), -1);
+        reference.blockOf(queries, want);
+        snap.blockOf(queries, batched);
+        std::size_t batchedMisses = 0, singleMisses = 0;
+        for (std::size_t i = 0; i < queries.size(); ++i) {
+            batchedMisses += batched[i] != want[i] ? 1 : 0;
+            singleMisses += snap.blockOf(queries[i]) != want[i] ? 1 : 0;
+        }
+        EXPECT_EQ(batchedMisses, 0u) << "k " << k;
+        EXPECT_EQ(singleMisses, 0u) << "k " << k;
     }
 }
 
