@@ -9,7 +9,6 @@
 #include "par/sort.hpp"
 #include "sfc/hilbert.hpp"
 #include "support/assert.hpp"
-#include "support/binio.hpp"
 #include "support/timer.hpp"
 
 namespace geo::core {
@@ -49,11 +48,9 @@ void spmdBody(par::Comm& comm, std::span<const Point<D>> points,
     const auto localPoints = points.subspan(static_cast<std::size_t>(lo), localCountIn);
     const int threads = settings.resolvedThreads();
 
-    PhaseTimer phases;
-
     // Phase 1: curve keys for the local slice (threaded bounds pass, global
     // bounding box via allreduce, threaded batch keying).
-    Timer t1;
+    Timer timer;
     const Box<D> globalBox =
         globalBoundingBox(comm, sfc::boundsOf<D>(localPoints, threads));
     // Keying is fused into the record build through one tile-sized stack
@@ -86,17 +83,17 @@ void spmdBody(par::Comm& comm, std::span<const Point<D>> points,
             }
         });
     const std::uint64_t keyedPoints = localCountIn;
-    phases.add("hilbert", t1.seconds());
+    const double hilbertSeconds = timer.seconds();
 
     // Phase 2: global sort by curve index + equalizing redistribution.
-    Timer t2;
+    timer.reset();
     records = par::sampleSort(comm, std::move(records), /*oversampling=*/16, threads);
     records = par::rebalanceSorted(comm, std::move(records));
     const auto sortedRecords = static_cast<std::uint64_t>(records.size());
-    phases.add("redistribute", t2.seconds());
+    const double redistributeSeconds = timer.seconds();
 
     // Phase 3 + 4: curve seeding and balanced k-means.
-    Timer t3;
+    timer.reset();
     const auto localCount = static_cast<std::int64_t>(records.size());
     const std::int64_t before = comm.exscanSum(localCount);
 
@@ -138,10 +135,7 @@ void spmdBody(par::Comm& comm, std::span<const Point<D>> points,
         balancedKMeans<D>(comm, localKmeansPoints, localWeights, std::move(centers), settings);
     outcome.counters.keyedPoints = keyedPoints;
     outcome.counters.sortedRecords = sortedRecords;
-    phases.add("kmeans", t3.seconds());
-    // Sub-phases of k-means, for the thread-scaling breakdown.
-    phases.add("assign", outcome.assignSeconds);
-    phases.add("update", outcome.updateSeconds);
+    const double kmeansSeconds = timer.seconds();
 
     // Snapshot the pipeline cost before the diagnostic result gather: this
     // is what the paper's running-time measurements cover.
@@ -160,28 +154,25 @@ void spmdBody(par::Comm& comm, std::span<const Point<D>> points,
         mine.push_back(GidBlock{localGids[i], outcome.assignment[i]});
     const auto all = comm.allgatherv(std::span<const GidBlock>(mine));
 
-    // Reduce diagnostics: max phase time, summed counters + k-means state.
-    std::array<double, 5> phaseMax{phases.get("hilbert"), phases.get("redistribute"),
-                                   phases.get("kmeans"), phases.get("assign"),
-                                   phases.get("update")};
+    // Max phase time over ranks; "assign" and "update" split k-means for
+    // the thread-scaling breakdown.
+    std::array<double, 5> phaseMax{hilbertSeconds, redistributeSeconds, kmeansSeconds,
+                                   outcome.assignSeconds, outcome.updateSeconds};
     comm.allreduceMax(std::span<double>(phaseMax.data(), phaseMax.size()));
-    detail::storeKMeansDiagnostics<D>(comm, outcome, result, resultMutex);
-
-    if (comm.isRoot()) {
-        const std::lock_guard<std::mutex> lock(resultMutex);
-        result.partition.assign(static_cast<std::size_t>(n), -1);
-        for (const auto& gb : all)
-            result.partition[static_cast<std::size_t>(gb.gid)] = gb.block;
-        result.phaseSeconds["hilbert"] = phaseMax[0];
-        result.phaseSeconds["redistribute"] = phaseMax[1];
-        result.phaseSeconds["kmeans"] = phaseMax[2];
-        result.phaseSeconds["assign"] = phaseMax[3];
-        result.phaseSeconds["update"] = phaseMax[4];
-        result.modeledSeconds = pipelineMax;
-    }
-    // Cross-process runs have no shared result object: hand every rank the
-    // root's assembled copy (no-op on the simulator).
-    detail::replicateResult(comm, result, resultMutex);
+    detail::writeResult<D>(
+        comm, outcome,
+        [&] {
+            graph::Partition partition(static_cast<std::size_t>(n), -1);
+            for (const auto& gb : all)
+                partition[static_cast<std::size_t>(gb.gid)] = gb.block;
+            return partition;
+        },
+        {{"hilbert", phaseMax[0]},
+         {"redistribute", phaseMax[1]},
+         {"kmeans", phaseMax[2]},
+         {"assign", phaseMax[3]},
+         {"update", phaseMax[4]}},
+        pipelineMax, result, resultMutex);
 }
 
 }  // namespace
@@ -189,8 +180,11 @@ void spmdBody(par::Comm& comm, std::span<const Point<D>> points,
 namespace detail {
 
 template <int D>
-void storeKMeansDiagnostics(par::Comm& comm, const KMeansOutcome<D>& outcome,
-                            GeographerResult& result, std::mutex& resultMutex) {
+void writeResult(par::Comm& comm, const KMeansOutcome<D>& outcome,
+                 const std::function<graph::Partition()>& partition,
+                 std::initializer_list<std::pair<const char*, double>> phaseMax,
+                 double modeledSeconds, GeographerResult& result,
+                 std::mutex& resultMutex) {
     std::array<std::uint64_t, 8> counterSum{
         outcome.counters.pointEvaluations, outcome.counters.boundSkips,
         outcome.counters.distanceCalcs, outcome.counters.bboxBreaks,
@@ -201,8 +195,18 @@ void storeKMeansDiagnostics(par::Comm& comm, const KMeansOutcome<D>& outcome,
     // reduction is a max (the largest mirror), not a sum.
     const std::uint64_t peakTileBytes = comm.allreduceMax(outcome.counters.peakTileBytes);
 
-    if (!comm.isRoot()) return;
+    // Every value written below is now the same on every rank. The
+    // simulator's rank threads share one result object, which the root
+    // writes; each worker process owns its copy and writes it itself.
+    if (!comm.isRoot() && !comm.crossProcess()) return;
+    graph::Partition assembled = partition();
+    const auto k = outcome.centers.size();
+    for (const auto b : assembled)
+        GEO_CHECK(b >= 0 && static_cast<std::size_t>(b) < k,
+                  "every point must be assigned a block");
+
     const std::lock_guard<std::mutex> lock(resultMutex);
+    result.partition = std::move(assembled);
     result.imbalance = outcome.imbalance;
     result.converged = outcome.converged;
     result.counters.pointEvaluations = counterSum[0];
@@ -215,7 +219,6 @@ void storeKMeansDiagnostics(par::Comm& comm, const KMeansOutcome<D>& outcome,
     result.counters.sortedRecords = counterSum[7];
     result.counters.peakTileBytes = peakTileBytes;
     result.counters.outerIterations = outcome.counters.outerIterations;
-    const auto k = outcome.centers.size();
     result.centerCoords.resize(k * D);
     for (std::size_t c = 0; c < k; ++c)
         for (int d = 0; d < D; ++d)
@@ -223,92 +226,18 @@ void storeKMeansDiagnostics(par::Comm& comm, const KMeansOutcome<D>& outcome,
                 outcome.centers[c][d];
     result.influence = outcome.influence;
     result.assignmentInfluence = outcome.assignmentInfluence;
+    for (const auto& [name, seconds] : phaseMax) result.phaseSeconds[name] = seconds;
+    result.modeledSeconds = modeledSeconds;
 }
 
-template void storeKMeansDiagnostics<2>(par::Comm&, const KMeansOutcome<2>&,
-                                        GeographerResult&, std::mutex&);
-template void storeKMeansDiagnostics<3>(par::Comm&, const KMeansOutcome<3>&,
-                                        GeographerResult&, std::mutex&);
-
-void replicateResult(par::Comm& comm, GeographerResult& result,
-                     std::mutex& resultMutex) {
-    if (!comm.crossProcess() || comm.size() == 1) return;
-    par::Transport& transport = comm.transport();
-
-    if (comm.isRoot()) {
-        binio::Writer w;
-        {
-            const std::lock_guard<std::mutex> lock(resultMutex);
-            w.u64(result.partition.size());
-            w.vec(result.partition);
-            w.f64(result.imbalance);
-            w.u8(result.converged ? 1 : 0);
-            w.u64(result.counters.pointEvaluations);
-            w.u64(result.counters.boundSkips);
-            w.u64(result.counters.distanceCalcs);
-            w.u64(result.counters.bboxBreaks);
-            w.u64(result.counters.balanceIterations);
-            w.u64(result.counters.epochBoundApplications);
-            w.u64(result.counters.keyedPoints);
-            w.u64(result.counters.sortedRecords);
-            w.u64(result.counters.peakTileBytes);
-            w.i32(result.counters.outerIterations);
-            w.f64(result.modeledSeconds);
-            w.u32(static_cast<std::uint32_t>(result.phaseSeconds.size()));
-            for (const auto& [name, seconds] : result.phaseSeconds) {
-                w.u32(static_cast<std::uint32_t>(name.size()));
-                w.bytes(name.data(), name.size());
-                w.f64(seconds);
-            }
-            w.u64(result.centerCoords.size());
-            w.vec(result.centerCoords);
-            w.u64(result.influence.size());
-            w.vec(result.influence);
-            w.u64(result.assignmentInfluence.size());
-            w.vec(result.assignmentInfluence);
-        }
-        std::uint64_t bytes = w.size();
-        transport.broadcast(&bytes, sizeof(bytes), 0);
-        transport.broadcast(const_cast<std::byte*>(w.buffer().data()), w.size(), 0);
-        return;
-    }
-
-    std::uint64_t bytes = 0;
-    transport.broadcast(&bytes, sizeof(bytes), 0);
-    std::vector<std::byte> payload(static_cast<std::size_t>(bytes));
-    transport.broadcast(payload.data(), payload.size(), 0);
-
-    binio::Reader r(payload);
-    const std::lock_guard<std::mutex> lock(resultMutex);
-    result.partition = r.vec<graph::Partition::value_type>(
-        static_cast<std::size_t>(r.u64()));
-    result.imbalance = r.f64();
-    result.converged = r.u8() != 0;
-    result.counters.pointEvaluations = r.u64();
-    result.counters.boundSkips = r.u64();
-    result.counters.distanceCalcs = r.u64();
-    result.counters.bboxBreaks = r.u64();
-    result.counters.balanceIterations = r.u64();
-    result.counters.epochBoundApplications = r.u64();
-    result.counters.keyedPoints = r.u64();
-    result.counters.sortedRecords = r.u64();
-    result.counters.peakTileBytes = r.u64();
-    result.counters.outerIterations = r.i32();
-    result.modeledSeconds = r.f64();
-    const std::uint32_t phases = r.u32();
-    result.phaseSeconds.clear();
-    for (std::uint32_t i = 0; i < phases; ++i) {
-        const std::uint32_t len = r.u32();
-        const auto nameBytes = r.bytes(len);
-        std::string name(reinterpret_cast<const char*>(nameBytes.data()),
-                         nameBytes.size());
-        result.phaseSeconds[name] = r.f64();
-    }
-    result.centerCoords = r.vec<double>(static_cast<std::size_t>(r.u64()));
-    result.influence = r.vec<double>(static_cast<std::size_t>(r.u64()));
-    result.assignmentInfluence = r.vec<double>(static_cast<std::size_t>(r.u64()));
-    r.expectEnd("replicated result");
-}
+template void writeResult<2>(par::Comm&, const KMeansOutcome<2>&,
+                             const std::function<graph::Partition()>&,
+                             std::initializer_list<std::pair<const char*, double>>, double,
+                             GeographerResult&, std::mutex&);
+template void writeResult<3>(par::Comm&, const KMeansOutcome<3>&,
+                             const std::function<graph::Partition()>&,
+                             std::initializer_list<std::pair<const char*, double>>, double,
+                             GeographerResult&, std::mutex&);
 
 }  // namespace detail
 
@@ -330,9 +259,6 @@ GeographerResult partitionGeographer(std::span<const Point<D>> points,
     result.runStats = machine.run([&](par::Comm& comm) {
         spmdBody<D>(comm, points, weights, k, settings, result, resultMutex);
     });
-
-    for (const auto b : result.partition)
-        GEO_CHECK(b >= 0, "every point must be assigned a block");
     return result;
 }
 

@@ -11,9 +11,12 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <initializer_list>
 #include <map>
 #include <mutex>
 #include <string>
+#include <utility>
 
 #include "core/balanced_kmeans.hpp"
 #include "core/settings.hpp"
@@ -86,29 +89,29 @@ extern template GeographerResult partitionGeographer<3>(std::span<const Point3>,
 
 namespace detail {
 
-/// Reduce a rank-local k-means outcome into `result` (root only, guarded by
-/// `resultMutex`): summed loop counters, imbalance, convergence flag, and
-/// the flattened warm-start state (row-major centers, influence).
-/// Collective — every rank must enter it at the same point. Shared by the
-/// cold pipeline here and the warm path in src/repart.
+/// Collective last step of both SPMD bodies (the cold pipeline here, the
+/// warm path in src/repart): sums the loop counters over ranks, then writes
+/// `result` under `resultMutex` from values every rank already holds —
+/// the gathered partition (built by calling `partition`, which must yield
+/// a block in [0, k) for every input point), the max-reduced `phaseMax`
+/// times and `modeledSeconds`, and the replicated k-means state. The
+/// writer is the rank that owns the address space: the root on the
+/// simulator, every rank across processes.
 template <int D>
-void storeKMeansDiagnostics(par::Comm& comm, const KMeansOutcome<D>& outcome,
-                            GeographerResult& result, std::mutex& resultMutex);
+void writeResult(par::Comm& comm, const KMeansOutcome<D>& outcome,
+                 const std::function<graph::Partition()>& partition,
+                 std::initializer_list<std::pair<const char*, double>> phaseMax,
+                 double modeledSeconds, GeographerResult& result,
+                 std::mutex& resultMutex);
 
-extern template void storeKMeansDiagnostics<2>(par::Comm&, const KMeansOutcome<2>&,
-                                               GeographerResult&, std::mutex&);
-extern template void storeKMeansDiagnostics<3>(par::Comm&, const KMeansOutcome<3>&,
-                                               GeographerResult&, std::mutex&);
-
-/// Replicate the root-assembled GeographerResult to every rank. On the
-/// shared-memory simulator all ranks already see the one result object and
-/// this is a no-op; on a cross-process transport the root serializes the
-/// result and broadcasts it over RAW transport calls — bookkeeping, not
-/// algorithm communication, so it never touches CommStats and stats stay
-/// comparable across backends. Collective: every rank must call it at the
-/// same point (both SPMD bodies do, as their last step).
-void replicateResult(par::Comm& comm, GeographerResult& result,
-                     std::mutex& resultMutex);
+extern template void writeResult<2>(par::Comm&, const KMeansOutcome<2>&,
+                                    const std::function<graph::Partition()>&,
+                                    std::initializer_list<std::pair<const char*, double>>,
+                                    double, GeographerResult&, std::mutex&);
+extern template void writeResult<3>(par::Comm&, const KMeansOutcome<3>&,
+                                    const std::function<graph::Partition()>&,
+                                    std::initializer_list<std::pair<const char*, double>>,
+                                    double, GeographerResult&, std::mutex&);
 
 }  // namespace detail
 

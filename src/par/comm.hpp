@@ -101,11 +101,9 @@ public:
     [[nodiscard]] bool isRoot() const noexcept { return rank() == 0; }
     [[nodiscard]] const CostModel& costModel() const noexcept { return *cost_; }
 
-    /// The byte engine underneath — entry points use crossProcess() to
-    /// decide whether root-assembled results must be replicated, and raw
-    /// transport calls to move data WITHOUT touching the stats (so
-    /// bookkeeping traffic never skews backend-comparable reports).
-    [[nodiscard]] Transport& transport() const noexcept { return *transport_; }
+    /// True when every rank owns its address space (worker processes), so
+    /// each rank writes its own copy of a result the ranks share on the
+    /// simulator, where only the root writes it.
     [[nodiscard]] bool crossProcess() const noexcept { return transport_->crossProcess(); }
 
     void barrier() { transport_->barrier(); }

@@ -149,8 +149,8 @@ public:
     [[nodiscard]] virtual int size() const noexcept = 0;
     /// Backend name for reports and bench JSON: "sim", "socket", "tcp".
     [[nodiscard]] virtual const char* name() const noexcept = 0;
-    /// True when ranks are separate OS processes (no shared memory): the
-    /// signal for entry points to replicate root-assembled results.
+    /// True when ranks are separate OS processes (no shared memory): each
+    /// rank then writes its own copy of an entry point's result.
     [[nodiscard]] virtual bool crossProcess() const noexcept = 0;
 
     virtual void barrier() = 0;

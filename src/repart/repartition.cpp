@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <mutex>
+#include <utility>
 
 #include "core/balanced_kmeans.hpp"
 #include "geometry/box.hpp"
@@ -131,27 +132,17 @@ void warmBody(par::Comm& comm, std::span<const Point<D>> points,
 
     // Rank slices are contiguous in input order, so the rank-ordered
     // concatenation of local assignments IS the global partition.
-    const auto all =
-        comm.allgatherv(std::span<const std::int32_t>(outcome.assignment));
+    auto all = comm.allgatherv(std::span<const std::int32_t>(outcome.assignment));
 
     const double kmeansMax = comm.allreduceMax(kmeansSeconds);
     std::array<double, 2> subPhaseMax{outcome.assignSeconds, outcome.updateSeconds};
     comm.allreduceMax(std::span<double>(subPhaseMax.data(), subPhaseMax.size()));
-    core::detail::storeKMeansDiagnostics<D>(comm, outcome, result, resultMutex);
-
-    if (comm.isRoot()) {
-        const std::lock_guard<std::mutex> lock(resultMutex);
-        result.partition = all;
-        result.phaseSeconds["kmeans"] = kmeansMax;
-        result.phaseSeconds["assign"] = subPhaseMax[0];
-        result.phaseSeconds["update"] = subPhaseMax[1];
-        result.modeledSeconds = pipelineMax;
-    }
-    // Cross-process runs have no shared result object: hand every rank the
-    // root's assembled copy (no-op on the simulator). The carried-over
-    // RepartState below is rebuilt from these replicated fields, so every
-    // worker process enters the next step with identical warm state.
-    core::detail::replicateResult(comm, result, resultMutex);
+    // Each worker process writes its own result, so the RepartState carried
+    // to the next step is identical on every process.
+    core::detail::writeResult<D>(
+        comm, outcome, [&] { return std::move(all); },
+        {{"kmeans", kmeansMax}, {"assign", subPhaseMax[0]}, {"update", subPhaseMax[1]}},
+        pipelineMax, result, resultMutex);
 }
 
 }  // namespace
@@ -191,8 +182,6 @@ RepartResult<D> repartitionGeographer(std::span<const Point<D>> points,
             warmBody<D>(comm, points, weights, settings, state, out.result, resultMutex);
         });
         out.warmStarted = true;
-        for (const auto b : out.result.partition)
-            GEO_CHECK(b >= 0 && b < k, "every point must be assigned a block");
     } else {
         out.result = core::partitionGeographer<D>(points, weights, k, ranks, settings, model);
         out.warmStarted = false;

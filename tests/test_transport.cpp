@@ -9,11 +9,11 @@
 //   * run with --worker=conformance it executes the same battery inside a
 //     geo_launch worker and signals failure through its exit code;
 //   * run with --worker=pipeline OUT it runs the partition → repartition →
-//     route pipeline and rank 0 writes a binary dump of every
-//     deterministic output to OUT — the gtest side compares that dump
-//     byte-for-byte against the simulator's, which is the ISSUE acceptance
-//     criterion (same partition vector, same misrouteStats, at 2 and 4
-//     real processes).
+//     route pipeline and every rank r writes a binary dump of every
+//     deterministic output to OUT.rank<r> — the gtest side compares each
+//     dump byte-for-byte against the simulator's (same partition vector,
+//     counters and misrouteStats on every process, at 2 and 4 real
+//     processes).
 //
 // Every expected value in the battery is the STRICT RANK-ORDER fold the
 // determinism contract promises (transport.hpp): each rank recomputes the
@@ -300,6 +300,16 @@ std::vector<std::byte> runPipelineDump(int ranks, TransportKind kind) {
         w.vec(res.centerCoords);
         w.vec(res.influence);
         w.vec(res.assignmentInfluence);
+        w.u64(res.counters.pointEvaluations);
+        w.u64(res.counters.boundSkips);
+        w.u64(res.counters.distanceCalcs);
+        w.u64(res.counters.bboxBreaks);
+        w.u64(res.counters.balanceIterations);
+        w.u64(res.counters.epochBoundApplications);
+        w.u64(res.counters.keyedPoints);
+        w.u64(res.counters.sortedRecords);
+        w.u64(res.counters.peakTileBytes);
+        w.i32(res.counters.outerIterations);
         w.u64(res.runStats.totalBytes);
         w.u64(res.runStats.collectives);
         w.f64(res.runStats.maxModeledCommSeconds);
@@ -375,8 +385,13 @@ int conformanceWorkerMain() {
     return fails.all.empty() ? 0 : 1;
 }
 
+/// Dump path of one worker rank: every process writes its own result, so
+/// every rank's dump is compared with the simulator's.
+std::string rankDumpPath(const std::string& base, int rank) {
+    return base + ".rank" + std::to_string(rank);
+}
+
 int pipelineWorkerMain(const char* outPath) {
-    const char* rankEnv = std::getenv("GEO_RANK");
     try {
         const auto bytes = runPipelineDump(geo::par::defaultRanks(), TransportKind::Auto);
         // Guard against a silent simulator fallback, which would turn the
@@ -386,12 +401,11 @@ int pipelineWorkerMain(const char* outPath) {
             std::fprintf(stderr, "[pipeline] expected a cross-process transport\n");
             return 3;
         }
-        if (rankEnv != nullptr && std::strcmp(rankEnv, "0") == 0) {
-            std::ofstream out(outPath, std::ios::binary | std::ios::trunc);
-            out.write(reinterpret_cast<const char*>(bytes.data()),
-                      static_cast<std::streamsize>(bytes.size()));
-            if (!out.good()) return 4;
-        }
+        std::ofstream out(rankDumpPath(outPath, transport->rank()),
+                          std::ios::binary | std::ios::trunc);
+        out.write(reinterpret_cast<const char*>(bytes.data()),
+                  static_cast<std::streamsize>(bytes.size()));
+        if (!out.good()) return 4;
     } catch (const std::exception& e) {
         std::fprintf(stderr, "[pipeline] exception: %s\n", e.what());
         return 2;
@@ -513,19 +527,24 @@ void comparePipelineAgainstSim(int ranks) {
 
     const std::string out = "/tmp/geo_test_pipeline_" + std::to_string(::getpid()) +
                             "_" + std::to_string(ranks) + ".bin";
-    std::remove(out.c_str());
+    for (int r = 0; r < ranks; ++r) std::remove(rankDumpPath(out, r).c_str());
     ASSERT_EQ(runLaunch("-n " + std::to_string(ranks) + " -- " + selfExe() +
                         " --worker=pipeline " + out),
               0);
 
-    std::ifstream in(out, std::ios::binary);
-    ASSERT_TRUE(in.good()) << "worker produced no dump at " << out;
-    const auto socketBytes = binio::readAll(in, std::size_t{1} << 30);
-    std::remove(out.c_str());
+    for (int r = 0; r < ranks; ++r) {
+        const std::string path = rankDumpPath(out, r);
+        std::ifstream in(path, std::ios::binary);
+        ASSERT_TRUE(in.good()) << "rank " << r << " produced no dump at " << path;
+        const auto socketBytes = binio::readAll(in, std::size_t{1} << 30);
+        in.close();
+        std::remove(path.c_str());
 
-    ASSERT_EQ(socketBytes.size(), simBytes.size());
-    EXPECT_EQ(std::memcmp(socketBytes.data(), simBytes.data(), simBytes.size()), 0)
-        << "socket backend diverged from the simulator at " << ranks << " ranks";
+        ASSERT_EQ(socketBytes.size(), simBytes.size()) << "rank " << r;
+        EXPECT_EQ(std::memcmp(socketBytes.data(), simBytes.data(), simBytes.size()), 0)
+            << "rank " << r << " of the socket backend diverged from the simulator at "
+            << ranks << " ranks";
+    }
 }
 
 TEST(PipelineBitwise, SimVsSocketTwoRanks) { comparePipelineAgainstSim(2); }
